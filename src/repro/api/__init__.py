@@ -14,20 +14,19 @@ The canonical way to drive any system in this repo:
   (:class:`~repro.api.futures.TxStatus` COMMITTED/ABORTED/TIMED_OUT);
   :func:`~repro.api.futures.wait_all` resolves batches in one pass;
 - :class:`~repro.api.driver.SystemDriver` is the protocol every
-  benchmarked system implements so one generic ``run_point`` measures
-  them all (implementations in :mod:`repro.bench.drivers`).
+  benchmarked system implements so one generic ``run_scenario``
+  measures them all (implementations in :mod:`repro.bench.drivers`).
 
 See ``docs/api.md`` for the full tour and the migration table from the
 raw ``Client``/``Deployment`` plumbing.
 """
 
-from repro.api.driver import DriverConfig, SystemDriver
+from repro.api.driver import SystemDriver
 from repro.api.futures import TxHandle, TxResult, TxStatus, wait_all
 from repro.api.network import Network
 from repro.api.session import Session
 
 __all__ = [
-    "DriverConfig",
     "Network",
     "Session",
     "SystemDriver",

@@ -12,9 +12,8 @@ from repro.bench.recovery import run_recovery_bench, run_recovery_scenario
 from repro.bench.runner import (
     PointResult,
     QANAAT_PROTOCOLS,
-    run_fabric_point,
+    point_spec,
     run_point,
-    run_qanaat_point,
     sweep,
     sweep_merge,
 )
@@ -24,9 +23,8 @@ __all__ = [
     "PointTask",
     "QANAAT_PROTOCOLS",
     "execute_tasks",
+    "point_spec",
     "run_point",
-    "run_qanaat_point",
-    "run_fabric_point",
     "run_recovery_bench",
     "run_recovery_scenario",
     "sweep",

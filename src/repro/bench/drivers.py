@@ -1,12 +1,10 @@
 """SystemDriver implementations for every benchmarked system family.
 
 Each driver's :meth:`build` takes a declarative
-:class:`~repro.scenarios.spec.ScenarioSpec` and reproduces,
-construction-step for construction-step, what the family's old
-``run_*_point`` function did — same config objects, same workload
-seeding, same client creation order — so a measurement through the
-generic runner completes exactly the same set of transactions for the
-same seed as the pre-driver harness.
+:class:`~repro.scenarios.spec.ScenarioSpec` and wires the
+family's deployment, workload, and clients in a fixed creation order,
+so a measurement completes exactly the same set of transactions for
+the same seed.
 
 The Qanaat family builds through :func:`repro.scenarios.build` and so
 supports fault timelines; the baseline families reject specs carrying
@@ -16,7 +14,7 @@ replays through).
 
 from __future__ import annotations
 
-from repro.api.driver import DriverConfig, SystemDriver
+from repro.api.driver import SystemDriver
 from repro.baselines.caper import CaperDeployment
 from repro.baselines.fabric import FabricDeployment, FabricVariant
 from repro.baselines.sharded import AHLDeployment, SharPerDeployment
@@ -325,14 +323,7 @@ def known_systems() -> list[str]:
     )
 
 
-def build_driver(spec: ScenarioSpec | DriverConfig) -> SystemDriver:
-    """Build the right driver for a scenario (accepts the deprecated
-    :class:`~repro.api.driver.DriverConfig` shim too)."""
-    if isinstance(spec, DriverConfig):
-        spec = spec.to_spec()
-    if spec.workload is None:
-        raise WorkloadError(
-            f"scenario {spec.name!r} declares no workload; drivers measure "
-            "workload-driven scenarios"
-        )
+def build_driver(spec: ScenarioSpec) -> SystemDriver:
+    """Build the right driver for a workload-driven scenario."""
+    spec.require_workload()
     return driver_class(spec.system).build(spec)

@@ -3,8 +3,10 @@
 Every cell of the evaluation matrix is a self-contained
 :class:`~repro.scenarios.spec.ScenarioSpec`: a worker process can
 build the deployment, seed the workload, and run the simulation from
-the spec alone, returning a plain-dict result.  That makes the matrix
-embarrassingly parallel — this module fans a flat list of
+the spec alone, returning its plain-dict scenario report
+(:func:`repro.scenarios.runner.run_scenario`; bench points project
+it with :func:`repro.bench.runner.point_from_payload`).  That makes
+the matrix embarrassingly parallel — this module fans a flat list of
 :class:`PointTask` items over a ``multiprocessing`` pool and
 reassembles the results **keyed by task, in task order**, so the
 merged output (and therefore every ``BENCH_*.json`` artifact) is
@@ -22,7 +24,6 @@ to the merge.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -36,16 +37,12 @@ class PointTask:
 
     ``key`` identifies the result in the merged mapping (any hashable
     tuple; experiments use label paths like ``(pct, system, rung)``).
-    ``kind`` selects the runner: ``"point"`` measures through
-    :func:`repro.bench.runner.run_point`, ``"scenario"`` through
-    :func:`repro.scenarios.runner.run_scenario`.  Tasks sharing a
-    ``chain`` id form an ordered ladder: sequential execution may stop
-    a chain early (see :func:`execute_tasks`).
+    Tasks sharing a ``chain`` id form an ordered ladder: sequential
+    execution may stop a chain early (see :func:`execute_tasks`).
     """
 
     key: tuple
     spec: ScenarioSpec
-    kind: str = "point"
     chain: tuple | None = None
 
 
@@ -62,7 +59,7 @@ def resolve_jobs(jobs: int | None) -> int:
 
 
 def run_task(task: PointTask) -> dict[str, Any]:
-    """Run one task to a plain-dict result (picklable, JSON-ready).
+    """Run one task to its scenario report (picklable, JSON-ready).
 
     The hot-path interning tables (vote payloads, ledger digests,
     reply digests) are dropped after every task: their keys hold the
@@ -72,19 +69,12 @@ def run_task(task: PointTask) -> dict[str, Any]:
     pool worker.
     """
     from repro.crypto.hashing import clear_intern_caches
+    from repro.scenarios.runner import run_scenario
 
     try:
-        if task.kind == "scenario":
-            from repro.scenarios.runner import run_scenario
-
-            return run_scenario(task.spec)
-        if task.kind == "point":
-            from repro.bench.runner import run_point
-
-            return dataclasses.asdict(run_point(task.spec))
+        return run_scenario(task.spec)
     finally:
         clear_intern_caches()
-    raise ValueError(f"unknown task kind {task.kind!r}")
 
 
 def _pool_entry(item: tuple[int, PointTask]) -> tuple[int, dict[str, Any]]:

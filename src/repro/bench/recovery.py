@@ -29,13 +29,14 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.bench.drivers import build_smallbank_deployment
 from repro.bench.report import write_json
-from repro.bench.runner import _drive_arrivals, build_smallbank_deployment
 from repro.core.config import DeploymentConfig
 from repro.core.executor import ExecutionUnit
 from repro.errors import StorageError
 from repro.storage import make_backend
 from repro.workload.generator import WorkloadMix
+from repro.workload.population import launch_arrivals
 
 
 def run_recovery_scenario(
@@ -109,7 +110,7 @@ def _run_recovery_scenario(
     )
 
     total = warmup + measure
-    _drive_arrivals(deployment.sim, rate, total, submit_next, seed)
+    launch_arrivals(deployment.sim, rate, total, submit_next, seed)
     deployment.run(total + drain)
 
     victim = deployment.nodes[victim_id]

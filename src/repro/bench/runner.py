@@ -9,16 +9,14 @@ Every benchmarked system — the six Qanaat protocol configurations, the
 Fabric family, Caper, SharPer, AHL — sits behind the
 :class:`~repro.api.driver.SystemDriver` protocol (implementations in
 :mod:`repro.bench.drivers`), and every measured point is described by
-a declarative :class:`~repro.scenarios.spec.ScenarioSpec`.
-:func:`run_point` accepts either a ready spec or the legacy loose
-kwargs (which it folds into a spec via :func:`point_spec`); the old
-per-family ``run_*_point`` entry points remain as thin shims.
+a declarative :class:`~repro.scenarios.spec.ScenarioSpec`
+(:func:`point_spec` builds one from the classic knobs).  There is one
+measurement loop, :func:`repro.scenarios.runner.run_scenario`;
+:func:`run_point` is the measure-window projection of its report.
 """
 
 from __future__ import annotations
 
-import inspect
-import time
 from dataclasses import dataclass, field
 
 from repro.scenarios.spec import (
@@ -89,18 +87,6 @@ class PointResult:
         )
 
 
-def _drive_arrivals(sim, rate, duration, submit_next, seed):
-    """Schedule Poisson arrivals calling ``submit_next`` per arrival.
-
-    Kept as a thin alias for the constant-rate path of
-    :func:`repro.workload.population.launch_arrivals` (the open-loop
-    engine behind rate profiles and populations) — same rng stream,
-    same event shape, bit-identical to the historical loop."""
-    from repro.workload.population import launch_arrivals
-
-    launch_arrivals(sim, rate, duration, submit_next, seed)
-
-
 def point_spec(
     system: str,
     rate: float,
@@ -120,11 +106,10 @@ def point_spec(
     checkpoint_interval: int = 0,
     name: str | None = None,
 ) -> ScenarioSpec:
-    """Fold the classic loose-kwargs measurement surface into a spec.
+    """The spec of one bench point, from the classic measurement knobs.
 
-    Defaults mirror the pre-scenario ``DriverConfig``/``run_point``
-    defaults exactly, so legacy call sites keep producing bit-identical
-    numbers through the spec path.
+    Knobs a family does not support (cost model for Fabric,
+    checkpointing outside Qanaat) are ignored by its driver.
     """
     return ScenarioSpec(
         name=name if name is not None else system,
@@ -146,129 +131,28 @@ def point_spec(
     )
 
 
-#: Loose kwargs :func:`run_point` folds into a spec — derived from
-#: :func:`point_spec` so the two cannot drift apart.
-_CONFIG_FIELDS = set(inspect.signature(point_spec).parameters) - {
-    "system", "rate", "mix", "warmup", "measure", "drain", "name",
-}
+def run_point(spec: ScenarioSpec) -> PointResult:
+    """Measure any benchmarked system at one offered load: the
+    measure-window projection of
+    :func:`repro.scenarios.runner.run_scenario` (same driver, same
+    open-loop arrivals, same event budget)."""
+    from repro.scenarios.runner import run_scenario
+
+    return point_from_payload(run_scenario(spec))
 
 
-def run_point(
-    system: str | ScenarioSpec,
-    rate: float | None = None,
-    mix: WorkloadMix | None = None,
-    warmup: float | None = None,
-    measure: float | None = None,
-    drain: float | None = None,
-    **kwargs,
-) -> PointResult:
-    """Measure any benchmarked system at one offered load.
-
-    Preferred form: ``run_point(spec)`` with a ready
-    :class:`~repro.scenarios.spec.ScenarioSpec`.  The legacy form
-    ``run_point(system, rate, mix, **kwargs)`` folds its arguments
-    into a spec via :func:`point_spec` first.
-
-    Builds the scenario's :class:`~repro.api.driver.SystemDriver`,
-    drives open-loop Poisson arrivals through ``driver.submit_next``
-    for ``warmup + measure`` seconds, lets the tail ``drain``, and
-    reports the measurement window from ``driver.metrics()``.  Knobs a
-    family does not support (cost model for Fabric, checkpointing
-    outside Qanaat) are ignored by its driver, as the per-family
-    runners did.
-    """
-    from repro.bench.drivers import build_driver
-
-    if isinstance(system, ScenarioSpec):
-        if (
-            rate is not None or mix is not None or kwargs
-            or warmup is not None or measure is not None or drain is not None
-        ):
-            raise TypeError(
-                "run_point(spec) takes no extra arguments; put the rate "
-                "in spec.workload and windows in spec.measurement"
-            )
-        spec = system
-    else:
-        if rate is None or mix is None:
-            raise TypeError(
-                "run_point(system, ...) needs both a rate and a mix "
-                "(or pass a ready ScenarioSpec)"
-            )
-        unknown = set(kwargs) - _CONFIG_FIELDS
-        if unknown:
-            raise TypeError(f"run_point got unexpected options {sorted(unknown)}")
-        # Windows default in point_spec's signature (the single source);
-        # only explicitly-passed values are forwarded.
-        windows = {
-            name: value
-            for name, value in (
-                ("warmup", warmup), ("measure", measure), ("drain", drain)
-            )
-            if value is not None
-        }
-        spec = point_spec(system, rate, mix, **windows, **kwargs)
-    from repro.crypto import hashing
-    from repro.scenarios.runner import launch_workload, paused_gc, perf_block
-
-    window = spec.measurement
-    counters_before = hashing.counters()
-    wall_start = time.perf_counter()
-    with paused_gc():
-        driver = build_driver(spec)
-    try:
-        total = window.warmup + window.measure
-        submit = getattr(driver, "_submit", None) or driver.submit_next
-        with paused_gc():
-            launch_workload(driver.sim, spec, submit, total)
-            driver.run(total + window.drain)
-        perf = perf_block(
-            wall_start, counters_before, driver.sim.events_processed
-        )
-        metrics = driver.metrics()
-        throughput = metrics.throughput(window.warmup, total)
-        latency_ms = metrics.mean_latency(window.warmup, total) * 1000
-        completed = metrics.completed_count(window.warmup, total)
-    finally:
-        driver.close()
+def point_from_payload(report: dict) -> PointResult:
+    """Project a scenario report (the :mod:`repro.bench.parallel` wire
+    format) onto its measure-window :class:`PointResult`."""
+    measure = report["windows"]["measure"]
     return PointResult(
-        driver.name, spec.workload.rate, throughput, latency_ms, completed,
-        perf=perf,
+        report["system"],
+        report["offered_tps"],
+        measure["throughput_tps"],
+        measure["mean_latency_ms"],
+        measure["completed"],
+        perf=report["perf"],
     )
-
-
-# ----------------------------------------------------------------------
-# legacy per-family entry points (thin shims over the generic runner)
-# ----------------------------------------------------------------------
-def run_qanaat_point(protocol: str, rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point` — kept for callers of the
-    pre-driver harness."""
-    return run_point(protocol, rate, mix, **kwargs)
-
-
-def run_fabric_point(variant: str, rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point`."""
-    kwargs.pop("cost", None)
-    kwargs.pop("checkpoint_interval", None)
-    return run_point(variant, rate, mix, **kwargs)
-
-
-def run_caper_point(rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point`."""
-    kwargs.pop("checkpoint_interval", None)
-    return run_point("Caper", rate, mix, **kwargs)
-
-
-def run_sharded_point(variant: str, rate: float, mix: WorkloadMix, **kwargs) -> PointResult:
-    """Deprecated: use :func:`run_point`."""
-    kwargs.pop("checkpoint_interval", None)
-    return run_point(variant, rate, mix, **kwargs)
-
-
-def point_from_payload(payload: dict) -> PointResult:
-    """Rebuild a :class:`PointResult` from a worker's plain-dict result
-    (the :mod:`repro.bench.parallel` wire format)."""
-    return PointResult(**payload)
 
 
 def _acceptable(point: PointResult, latency_cap_ms: float) -> bool:
@@ -343,11 +227,3 @@ def sweep(
         if sweep_stopped(curve, latency_cap_ms):
             break
     return sweep_merge(curve, latency_cap_ms)
-
-
-def build_smallbank_deployment(config, mix, latency=None, cost=None):
-    """Re-exported from :mod:`repro.bench.drivers` (the recovery
-    scenario drives the same wiring as the Qanaat driver)."""
-    from repro.bench.drivers import build_smallbank_deployment as _build
-
-    return _build(config, mix, latency=latency, cost=cost)

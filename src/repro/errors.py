@@ -33,10 +33,6 @@ class LedgerError(ReproError):
     """The blockchain ledger rejected or failed to verify a record."""
 
 
-class ConsensusError(ReproError):
-    """A consensus protocol reached an illegal state."""
-
-
 class WorkloadError(ReproError):
     """A workload generator was misconfigured."""
 

@@ -132,8 +132,7 @@ def build_workload(
     None), ``trace`` (a loaded trace to replay, or None), and
     ``submit_entry`` (the per-entry replay submitter).
     """
-    if spec.workload is None:
-        raise ValueError(f"scenario {spec.name!r} declares no workload")
+    spec.require_workload()
     enterprises = spec.topology.enterprises
     shards = spec.topology.shards
     deployment.create_workflow("bench", enterprises, contract="smallbank")

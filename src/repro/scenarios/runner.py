@@ -1,10 +1,12 @@
 """Measure one scenario: drive it, observe every window, report.
 
-Unlike :func:`repro.bench.runner.run_point` (one number pair at one
-offered load), the scenario runner reports **per-window** results —
-throughput, mean latency, completions, and abort rate for each of the
-warmup / measure / drain windows — plus the resolved fault trace, so a
-scenario with a mid-run crash shows the dip *and* the recovery.
+The one measurement loop of the repository: :func:`run_scenario`
+reports **per-window** results — throughput, mean latency,
+completions, and abort rate for each of the warmup / measure / drain
+windows — plus the resolved fault trace, so a scenario with a mid-run
+crash shows the dip *and* the recovery.  A bench point
+(:func:`repro.bench.runner.run_point`) is the measure-window
+projection of the same report.
 
 The simulator advance runs under the spec's event budget
 (``measurement.max_events``) with ``raise_on_limit``: a protocol bug
@@ -17,7 +19,9 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import Any
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Iterator
 
 from repro.scenarios.spec import ScenarioSpec
 
@@ -45,32 +49,59 @@ class paused_gc:
             gc.enable()
 
 
-def perf_block(
-    wall_start: float, counters_before: dict[str, int], events: int
-) -> dict[str, Any]:
-    """The ``perf`` metadata block every bench point records: wall
-    clock since ``wall_start``, simulated ``events`` (+ rate), and the
-    hot-path counter deltas since ``counters_before``.  Shared by
-    :func:`run_scenario` and :func:`repro.bench.runner.run_point` so
-    the two artifact families cannot drift."""
+def counter_delta(
+    before: dict[str, int], after: dict[str, int] | None = None
+) -> dict[str, int]:
+    """Hot-path counter deltas (:func:`repro.crypto.hashing.counters`)
+    from ``before`` to ``after`` (default: now)."""
     from repro.crypto import hashing
 
+    if after is None:
+        after = hashing.counters()
+    return {name: after[name] - before[name] for name in before}
+
+
+def perf_block(
+    wall_start: float, events: int, counters: dict[str, int]
+) -> dict[str, Any]:
+    """The ``perf`` metadata block every report records: wall clock
+    since ``wall_start``, simulated ``events`` (+ rate), and the run's
+    hot-path ``counters`` (a :func:`counter_delta`)."""
     wall = time.perf_counter() - wall_start
-    counters_after = hashing.counters()
     return {
         "wall_clock_s": round(wall, 6),
         "events": events,
         "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-        "digest_calls": (
-            counters_after["digest_calls"] - counters_before["digest_calls"]
-        ),
-        "encode_bytes": (
-            counters_after["encode_bytes"] - counters_before["encode_bytes"]
-        ),
-        "verify_calls": (
-            counters_after["verify_calls"] - counters_before["verify_calls"]
-        ),
+        **counters,
     }
+
+
+@contextmanager
+def observed_run(spec: ScenarioSpec) -> Iterator[bool]:
+    """The :mod:`repro.obs` lifecycle of one run; yields whether the
+    run *owns* the tracer.
+
+    A spec with ``trace=True`` owns it for this run (enable before
+    construction — hot objects capture obs state when built — disable
+    on exit); a caller that enabled obs beforehand (``bench --trace``)
+    keeps ownership.  Either way, deployment-scoped obs state (block/
+    instance keys, probe decisions) is reset so it cannot leak between
+    runs sharing one tracer.
+    """
+    from repro import obs
+
+    owned = spec.trace and not obs.enabled()
+    if owned:
+        obs.enable()
+    if obs.enabled():
+        obs.TRACER.new_run()
+        if obs.PROBES is not None:
+            obs.PROBES.reset()
+    try:
+        yield owned
+    finally:
+        if owned:
+            obs.disable()
 
 
 def launch_workload(
@@ -105,17 +136,15 @@ def launch_workload(
     )
 
 
-def write_capture(spec: ScenarioSpec, submit: Any) -> None:
-    """Persist a run's captured trace to the spec's ``capture_trace``
-    path (JSONL, one entry per submitted transaction)."""
-    capture = getattr(submit, "capture", None)
-    if capture is None or spec.workload.capture_trace is None:
+def write_capture(spec: ScenarioSpec, jsonl: str | None) -> None:
+    """Persist a run's captured trace (JSONL, one entry per submitted
+    transaction; ``None`` when the spec captures nothing) to the spec's
+    ``capture_trace`` path."""
+    if jsonl is None:
         return
-    from pathlib import Path
-
     path = Path(spec.workload.capture_trace)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(capture.to_jsonl() + "\n")
+    path.write_text(jsonl + "\n")
 
 
 def series_report(
@@ -151,9 +180,57 @@ def _window_report(metrics: Any, start: float, end: float) -> dict[str, Any]:
     }
 
 
+def scenario_report(
+    spec: ScenarioSpec,
+    metrics: Any,
+    perf: dict[str, Any],
+    fault_trace: list[tuple],
+    generated: dict[str, int],
+    population: dict[str, Any] | None = None,
+    kernel: dict[str, Any] | None = None,
+    obs_block: dict[str, Any] | None = None,
+) -> dict[str, Any]:
+    """The JSON-ready report of one measured scenario, shared by the
+    sequential and shard-parallel runners: per-window numbers from the
+    client-observed ``metrics``, the resolved fault trace, and the
+    ``perf`` (and optional ``obs``) metadata blocks."""
+    m = spec.measurement
+    total = m.warmup + m.measure
+    report: dict[str, Any] = {
+        "scenario": spec.name,
+        "system": spec.system,
+        "seed": spec.seed,
+        "offered_tps": spec.workload.rate,
+        "enterprises": list(spec.topology.enterprises),
+        "shards": spec.topology.shards,
+        "fault_events": len(spec.faults),
+        "fault_trace": [
+            {"t": t, "kind": kind, "detail": detail}
+            for t, kind, detail in fault_trace
+        ],
+        "generated": generated,
+    }
+    if kernel is not None:
+        report["kernel"] = kernel
+    report["windows"] = {
+        "warmup": _window_report(metrics, 0.0, m.warmup),
+        "measure": _window_report(metrics, m.warmup, total),
+        "drain": _window_report(metrics, total, m.total),
+    }
+    report["perf"] = perf
+    if population is not None:
+        report["population"] = population
+        perf["client_pool"] = population["wire_clients"]
+    if m.window > 0:
+        report["series"] = series_report(metrics, m)
+    if obs_block is not None:
+        report["obs"] = obs_block
+    return report
+
+
 def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
     """Build the spec's system, replay its timeline, measure every
-    window; returns a JSON-ready report.
+    window; returns a JSON-ready report (see :func:`scenario_report`).
 
     The report carries a ``perf`` block — wall-clock seconds,
     simulated events, events/sec, and the hot-path counter deltas from
@@ -171,31 +248,10 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
         from repro.scenarios.shardpar import run_scenario_shardpar
 
         return run_scenario_shardpar(spec)
-    if spec.workload is None:
-        raise ValueError(
-            f"scenario {spec.name!r} declares no workload; "
-            "run_scenario measures workload-driven scenarios"
-        )
     m = spec.measurement
-    # Observability: a spec with trace=True owns the obs lifecycle for
-    # this run (enable before construction — hot objects capture obs
-    # state when built — disable in finally); a caller that enabled
-    # obs beforehand (bench --trace) keeps ownership.  Either way the
-    # tracing-off path below is the seed's single bounded run, bit for
-    # bit.
-    owned = bool(getattr(spec, "trace", False)) and not obs.enabled()
-    if owned:
-        obs.enable()
-    obs_on = obs.enabled()
-    if obs_on:
-        # Deployment-scoped obs state (block/instance keys, probe
-        # decisions) must not leak between runs sharing one tracer.
-        obs.TRACER.new_run()
-        if obs.PROBES is not None:
-            obs.PROBES.reset()
-    counters_before = hashing.counters()
-    wall_start = time.perf_counter()
-    try:
+    with observed_run(spec) as owned:
+        counters_before = hashing.counters()
+        wall_start = time.perf_counter()
         with paused_gc():
             driver = build_driver(spec)
         try:
@@ -203,7 +259,7 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
             submit = getattr(driver, "_submit", None) or driver.submit_next
             with paused_gc():
                 launch_workload(driver.sim, spec, submit, total)
-                if obs_on:
+                if obs.enabled():
                     # Segmented advance: pause at every window edge to
                     # sample gauges.  Back-to-back bounded runs tile
                     # the timeline exactly (the kernel advances the
@@ -229,59 +285,32 @@ def run_scenario(spec: ScenarioSpec) -> dict[str, Any]:
                         raise_on_limit=True,
                     )
             perf = perf_block(
-                wall_start, counters_before, driver.sim.events_processed
+                wall_start,
+                driver.sim.events_processed,
+                counter_delta(counters_before),
             )
-            metrics = driver.metrics()
-            windows = {
-                "warmup": _window_report(metrics, 0.0, m.warmup),
-                "measure": _window_report(metrics, m.warmup, total),
-                "drain": _window_report(metrics, total, m.total),
-            }
+            capture = getattr(submit, "capture", None)
+            write_capture(
+                spec, capture.to_jsonl() if capture is not None else None
+            )
             scheduler = getattr(driver.system, "fault_scheduler", None)
-            trace = (
-                [
-                    {"t": t, "kind": kind, "detail": detail}
-                    for t, kind, detail in scheduler.trace
-                ]
-                if scheduler is not None
-                else []
-            )
             workload = getattr(submit, "workload", None)
-            generated = dict(workload.generated) if workload is not None else {}
             population = getattr(submit, "population", None)
-            population_stats = (
-                population.stats() if population is not None else None
+            return scenario_report(
+                spec,
+                driver.metrics(),
+                perf,
+                fault_trace=scheduler.trace if scheduler is not None else [],
+                generated=(
+                    dict(workload.generated) if workload is not None else {}
+                ),
+                population=(
+                    population.stats() if population is not None else None
+                ),
+                obs_block=_obs_report(driver, owned) if obs.enabled() else None,
             )
-            if population_stats is not None:
-                perf["client_pool"] = population_stats["wire_clients"]
-            series = series_report(metrics, m) if m.window > 0 else None
-            write_capture(spec, submit)
-            obs_block = _obs_report(driver, owned) if obs_on else None
         finally:
             driver.close()
-    finally:
-        if owned:
-            obs.disable()
-    report = {
-        "scenario": spec.name,
-        "system": spec.system,
-        "seed": spec.seed,
-        "offered_tps": spec.workload.rate,
-        "enterprises": list(spec.topology.enterprises),
-        "shards": spec.topology.shards,
-        "fault_events": len(spec.faults),
-        "fault_trace": trace,
-        "generated": generated,
-        "windows": windows,
-        "perf": perf,
-    }
-    if population_stats is not None:
-        report["population"] = population_stats
-    if series is not None:
-        report["series"] = series
-    if obs_block is not None:
-        report["obs"] = obs_block
-    return report
 
 
 def _obs_report(driver: Any, owned: bool) -> dict[str, Any]:
@@ -327,10 +356,7 @@ def run_scenarios(
     """
     from repro.bench.parallel import PointTask, execute_tasks
 
-    tasks = [
-        PointTask(key=(name,), spec=spec, kind="scenario")
-        for name, spec in specs.items()
-    ]
+    tasks = [PointTask(key=(name,), spec=spec) for name, spec in specs.items()]
     raw = execute_tasks(tasks, jobs=jobs)
     return {name: raw[(name,)] for name in specs}
 

@@ -72,11 +72,7 @@ def build_shardpar(spec: ScenarioSpec) -> ShardParBuild:
     from repro.scenarios.faults import FaultScheduler
     from repro.sim.costs import CalibratedCost
 
-    if spec.workload is None:
-        raise ValueError(
-            f"scenario {spec.name!r} declares no workload; "
-            "run_scenario measures workload-driven scenarios"
-        )
+    spec.require_workload()
     if spec.topology.storage_backend != "memory":
         raise ConfigurationError(
             f"kernel_workers requires storage_backend='memory' "
@@ -144,27 +140,23 @@ def run_scenario_shardpar(spec: ScenarioSpec) -> dict[str, Any]:
     from repro.core.deployment import Metrics
     from repro.crypto import hashing
     from repro.scenarios.runner import (
-        _window_report,
+        counter_delta,
         launch_workload,
+        observed_run,
         paused_gc,
-        series_report,
+        perf_block,
+        scenario_report,
+        write_capture,
     )
 
     workers = spec.kernel_workers
     if workers is None:
         raise ValueError("spec.kernel_workers is not set")
     m = spec.measurement
-    owned_obs = bool(spec.trace) and not obs.enabled()
-    if owned_obs:
-        obs.enable()
-    obs_on = obs.enabled()
-    if obs_on:
-        obs.TRACER.new_run()
-        if obs.PROBES is not None:
-            obs.PROBES.reset()
-    counters_start = hashing.counters()
-    wall_start = time.perf_counter()
-    try:
+    with observed_run(spec):
+        obs_on = obs.enabled()
+        counters_start = hashing.counters()
+        wall_start = time.perf_counter()
         with paused_gc():
             built = build_shardpar(spec)
         deployment = built.deployment
@@ -191,7 +183,7 @@ def run_scenario_shardpar(spec: ScenarioSpec) -> dict[str, Any]:
                 ),
                 "messages_sent": network.messages_sent,
                 "messages_dropped": network.messages_dropped,
-                "counters": hashing.counters(),
+                "counters": counter_delta(counters_built),
                 "fault_trace": list(scheduler.trace)
                 if scheduler is not None
                 else [],
@@ -234,9 +226,6 @@ def run_scenario_shardpar(spec: ScenarioSpec) -> dict[str, Any]:
                 m.total, max_events=m.max_events, collect=collect
             )
         deployment.close()
-    finally:
-        if owned_obs:
-            obs.disable()
 
     root = payloads[0]
     merged = Metrics()
@@ -244,95 +233,27 @@ def run_scenario_shardpar(spec: ScenarioSpec) -> dict[str, Any]:
     merged.completions = completions
     merged._done_at = done_at
     merged._abort_at = abort_at
-    total = m.warmup + m.measure
-    events_total = sum(p["events"] for p in payloads)
-    trace = sorted(tuple(entry) for p in payloads for entry in p["fault_trace"])
-    wall = time.perf_counter() - wall_start
-    perf = {
-        "wall_clock_s": round(wall, 6),
-        "events": events_total,
-        "events_per_sec": round(events_total / wall, 1) if wall > 0 else 0.0,
-        "digest_calls": (
-            counters_built["digest_calls"] - counters_start["digest_calls"]
-        )
-        + sum(
-            p["counters"]["digest_calls"] - counters_built["digest_calls"]
-            for p in payloads
-        ),
-        "encode_bytes": (
-            counters_built["encode_bytes"] - counters_start["encode_bytes"]
-        )
-        + sum(
-            p["counters"]["encode_bytes"] - counters_built["encode_bytes"]
-            for p in payloads
-        ),
-        "verify_calls": (
-            counters_built["verify_calls"] - counters_start["verify_calls"]
-        )
-        + sum(
-            p["counters"]["verify_calls"] - counters_built["verify_calls"]
-            for p in payloads
-        ),
-        "kernel_workers": engine.workers,
-        "workers": [
-            {
-                "events": p["events"],
-                "messages_sent": p["messages_sent"],
-                "messages_dropped": p["messages_dropped"],
-                "digest_calls": (
-                    p["counters"]["digest_calls"]
-                    - counters_built["digest_calls"]
-                ),
-                "encode_bytes": (
-                    p["counters"]["encode_bytes"]
-                    - counters_built["encode_bytes"]
-                ),
-                "verify_calls": (
-                    p["counters"]["verify_calls"]
-                    - counters_built["verify_calls"]
-                ),
-            }
-            for p in payloads
-        ],
-    }
-    report: dict[str, Any] = {
-        "scenario": spec.name,
-        "system": spec.system,
-        "seed": spec.seed,
-        "offered_tps": spec.workload.rate,
-        "enterprises": list(spec.topology.enterprises),
-        "shards": spec.topology.shards,
-        "fault_events": len(spec.faults),
-        "fault_trace": [
-            {"t": t, "kind": kind, "detail": detail} for t, kind, detail in trace
-        ],
-        "generated": root["generated"] or {},
-        # Deterministic facts about the partitioned kernel itself —
-        # invariant under worker count, hence part of the comparable
-        # results rather than perf metadata.
-        "kernel": {
-            "partitions": len(built.pmap),
-            "lookahead_s": round(built.lookahead, 9),
-            "windows": engine.windows_run,
+    build_counters = counter_delta(counters_start, counters_built)
+    perf = perf_block(
+        wall_start,
+        sum(p["events"] for p in payloads),
+        {
+            name: count + sum(p["counters"][name] for p in payloads)
+            for name, count in build_counters.items()
         },
-        "windows": {
-            "warmup": _window_report(merged, 0.0, m.warmup),
-            "measure": _window_report(merged, m.warmup, total),
-            "drain": _window_report(merged, total, m.total),
-        },
-        "perf": perf,
-    }
-    if root.get("population") is not None:
-        report["population"] = root["population"]
-        perf["client_pool"] = root["population"]["wire_clients"]
-    if m.window > 0:
-        report["series"] = series_report(merged, m)
-    if root.get("capture_jsonl") is not None and spec.workload.capture_trace:
-        from pathlib import Path
-
-        path = Path(spec.workload.capture_trace)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(root["capture_jsonl"] + "\n")
+    )
+    perf["kernel_workers"] = engine.workers
+    perf["workers"] = [
+        {
+            "events": p["events"],
+            "messages_sent": p["messages_sent"],
+            "messages_dropped": p["messages_dropped"],
+            **p["counters"],
+        }
+        for p in payloads
+    ]
+    write_capture(spec, root.get("capture_jsonl"))
+    obs_block = None
     if obs_on:
         from repro.obs.metrics import MetricRegistry
         from repro.obs.trace import TRACE_SCHEMA_VERSION, merge_jsonl
@@ -342,7 +263,7 @@ def run_scenario_shardpar(spec: ScenarioSpec) -> dict[str, Any]:
         # state from every partition at once; per-worker copies of
         # foreign clusters are stale by design, so it is skipped here
         # (the inline per-node sequence probes still ran everywhere).
-        report["obs"] = {
+        obs_block = {
             "schema": TRACE_SCHEMA_VERSION,
             "spans": sum(shard["spans"] for shard in shards),
             "metrics": MetricRegistry.merge_snapshots(
@@ -352,7 +273,25 @@ def run_scenario_shardpar(spec: ScenarioSpec) -> dict[str, Any]:
                 [shard["trace_jsonl"] for shard in shards]
             ),
         }
-    return report
+    return scenario_report(
+        spec,
+        merged,
+        perf,
+        fault_trace=sorted(
+            tuple(entry) for p in payloads for entry in p["fault_trace"]
+        ),
+        generated=root["generated"] or {},
+        population=root.get("population"),
+        # Deterministic facts about the partitioned kernel itself —
+        # invariant under worker count, hence part of the comparable
+        # results rather than perf metadata.
+        kernel={
+            "partitions": len(built.pmap),
+            "lookahead_s": round(built.lookahead, 9),
+            "windows": engine.windows_run,
+        },
+        obs_block=obs_block,
+    )
 
 
 def shardpar_scenario(

@@ -348,8 +348,9 @@ class ScenarioSpec:
     faults: tuple[FaultEvent, ...] = ()
     measurement: MeasurementSpec = field(default_factory=MeasurementSpec)
     seed: int = 0
-    #: Runtime objects (latency/cost models) are injectable for the
-    #: legacy run_point path; declarative specs use ``topology.wan``.
+    #: Runtime objects (latency/cost models) are injectable for
+    #: programmatic specs (``point_spec``); declarative specs use
+    #: ``topology.wan``.
     latency: "LatencyModel | None" = None
     cost: "CostModel | None" = None
     #: Enable the :mod:`repro.obs` causal tracer / metric registry for
@@ -381,6 +382,16 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # derived configuration
     # ------------------------------------------------------------------
+    def require_workload(self) -> None:
+        """Measuring or wiring load for a workload-free spec (one that
+        only describes a deployment) is a configuration error, raised
+        the same way by every entry point."""
+        if self.workload is None:
+            raise ConfigurationError(
+                f"scenario {self.name!r} declares no workload; only "
+                "workload-driven scenarios can be measured"
+            )
+
     def system_options(self) -> dict[str, Any]:
         """The §5 protocol options encoded by the system label.
 

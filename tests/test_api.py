@@ -8,7 +8,6 @@ mid-flight, and TIMED_OUT as a state distinct from ABORTED.
 import pytest
 
 from repro.api import (
-    DriverConfig,
     Network,
     Session,
     SystemDriver,
@@ -241,17 +240,16 @@ def test_replica_ledgers_cover_the_cluster():
 # ----------------------------------------------------------------------
 def test_every_benchmarked_system_satisfies_the_driver_protocol():
     from repro.bench.drivers import build_driver, known_systems
+    from repro.bench.runner import point_spec
     from repro.workload.generator import WorkloadMix
 
     assert {"Flt-C", "Crd-B(PF)", "Fabric", "FastFabric", "Caper",
             "SharPer", "AHL", "Fig4d"} <= set(known_systems())
-    cfg = DriverConfig(
-        system="Flt-C",
-        mix=WorkloadMix(cross=0.1, cross_type="isce"),
-        enterprises=("A", "B"),
-        shards=1,
+    spec = point_spec(
+        "Flt-C", 800, WorkloadMix(cross=0.1, cross_type="isce"),
+        enterprises=("A", "B"), shards=1,
     )
-    driver = build_driver(cfg)
+    driver = build_driver(spec)
     assert isinstance(driver, SystemDriver)
     driver.submit_next()
     driver.run(0.5)
@@ -261,15 +259,16 @@ def test_every_benchmarked_system_satisfies_the_driver_protocol():
 
 def test_unknown_system_fails_with_the_valid_set():
     from repro.bench.drivers import build_driver
+    from repro.bench.runner import point_spec
     from repro.errors import WorkloadError
     from repro.workload.generator import WorkloadMix
 
     with pytest.raises(WorkloadError, match="unknown system.*Flt-C"):
-        build_driver(DriverConfig(system="NopeDB", mix=WorkloadMix()))
+        build_driver(point_spec("NopeDB", 800, WorkloadMix()))
 
 
 def test_generic_run_point_measures_all_four_families():
-    from repro.bench.runner import run_point
+    from repro.bench.runner import point_spec, run_point
     from repro.workload.generator import WorkloadMix
 
     fast = dict(warmup=0.1, measure=0.2, drain=0.1)
@@ -285,17 +284,9 @@ def test_generic_run_point_measures_all_four_families():
             if system == "SharPer"
             else isce
         )
-        point = run_point(system, 800, mix, **fast, **kwargs)
+        point = run_point(point_spec(system, 800, mix, **fast, **kwargs))
         assert point.completed > 0, system
         assert point.system == system
-
-
-def test_run_point_rejects_unknown_options():
-    from repro.bench.runner import run_point
-    from repro.workload.generator import WorkloadMix
-
-    with pytest.raises(TypeError, match="unexpected options"):
-        run_point("Flt-C", 100, WorkloadMix(), warmupp=1)
 
 
 # ----------------------------------------------------------------------

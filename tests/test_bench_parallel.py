@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import parallel
-from repro.bench.parallel import PointTask, execute_tasks, resolve_jobs, run_task
+from repro.bench.parallel import PointTask, execute_tasks, resolve_jobs
 from repro.bench.runner import PointResult, sweep_merge, sweep_stopped
 
 
@@ -23,11 +23,6 @@ def test_resolve_jobs_values():
     assert resolve_jobs(0) == (os.cpu_count() or 1)
     with pytest.raises(ValueError):
         resolve_jobs(-1)
-
-
-def test_run_task_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown task kind"):
-        run_task(PointTask(key=("x",), spec=None, kind="mystery"))
 
 
 def test_execute_tasks_rejects_duplicate_keys():

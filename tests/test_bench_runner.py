@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.bench.runner import (
-    QANAAT_PROTOCOLS,
-    run_fabric_point,
-    run_qanaat_point,
-    sweep,
-)
+from repro.bench.runner import QANAAT_PROTOCOLS, point_spec, run_point, sweep
 from repro.core.deployment import Metrics
+from repro.errors import WorkloadError
 from repro.workload.generator import WorkloadMix
 
 FAST = dict(
@@ -33,7 +29,7 @@ def test_metrics_windows():
 
 
 def test_qanaat_point_unsaturated_tracks_offered():
-    point = run_qanaat_point("Flt-C", 1500, MIX, **FAST)
+    point = run_point(point_spec("Flt-C", 1500, MIX, **FAST))
     assert point.completed > 0
     assert point.throughput_tps == pytest.approx(1500, rel=0.25)
     assert not point.saturated
@@ -41,7 +37,7 @@ def test_qanaat_point_unsaturated_tracks_offered():
 
 
 def test_fabric_point_runs():
-    point = run_fabric_point("Fabric", 1500, MIX, **FAST)
+    point = run_point(point_spec("Fabric", 1500, MIX, **FAST))
     assert point.completed > 0
     assert not point.saturated
 
@@ -60,70 +56,115 @@ def test_all_protocol_names_resolve():
 
 
 def test_crash_nodes_option_still_commits():
-    point = run_qanaat_point("Flt-C", 1000, MIX, crash_nodes=1, **FAST)
+    point = run_point(point_spec("Flt-C", 1000, MIX, crash_nodes=1, **FAST))
     assert point.completed > 0
 
 
 def test_caper_point_runs():
-    from repro.bench.runner import run_point
-    from repro.workload.generator import WorkloadMix
-
-    point = run_point(
+    point = run_point(point_spec(
         "Caper", 800, WorkloadMix(cross=0.2, cross_type="isce"),
         enterprises=("A", "B"), warmup=0.1, measure=0.2, drain=0.1,
-    )
+    ))
     assert point.system == "Caper"
     assert point.completed > 0
 
 
 def test_caper_rejects_cross_shard_mixes():
-    import pytest
-
-    from repro.bench.runner import run_point
-    from repro.errors import WorkloadError
-    from repro.workload.generator import WorkloadMix
-
     with pytest.raises(WorkloadError, match="cross-shard"):
-        run_point(
+        run_point(point_spec(
             "Caper", 500, WorkloadMix(cross=0.2, cross_type="csie"),
             enterprises=("A", "B"), warmup=0.1, measure=0.2, drain=0.1,
-        )
+        ))
 
 
 def test_sharded_baseline_points_run():
-    from repro.bench.runner import run_point
-    from repro.workload.generator import WorkloadMix
-
     for system in ("SharPer", "AHL"):
-        point = run_point(
+        point = run_point(point_spec(
             system, 800, WorkloadMix(cross=0.2, cross_type="csie"),
             shards=2, warmup=0.1, measure=0.2, drain=0.1,
-        )
+        ))
         assert point.system == system
         assert point.completed > 0
 
 
 def test_sharded_baselines_reject_cross_enterprise_mixes():
-    import pytest
-
-    from repro.bench.runner import run_point
-    from repro.errors import WorkloadError
-    from repro.workload.generator import WorkloadMix
-
     with pytest.raises(WorkloadError, match="cross-enterprise"):
-        run_point(
+        run_point(point_spec(
             "SharPer", 500, WorkloadMix(cross=0.2, cross_type="isce"),
             shards=2, warmup=0.1, measure=0.2, drain=0.1,
-        )
+        ))
 
 
 def test_qanaat_point_accepts_checkpoint_interval():
-    from repro.bench.runner import run_point
-    from repro.workload.generator import WorkloadMix
-
-    point = run_point(
+    point = run_point(point_spec(
         "Flt-C", 800, WorkloadMix(cross=0.0),
         enterprises=("A", "B"), shards=1,
         warmup=0.1, measure=0.2, drain=0.1, checkpoint_interval=16,
+    ))
+    assert point.completed > 0
+
+
+# ----------------------------------------------------------------------
+# one measurement path: a point is a projection of a scenario report
+# ----------------------------------------------------------------------
+#: One point per system family: (mix, topology knobs) it can run.
+FAMILY_POINTS = {
+    "Flt-C": (MIX, dict(enterprises=("A", "B"), shards=2)),
+    "Fabric": (MIX, dict(enterprises=("A", "B"), shards=2)),
+    "Caper": (MIX, dict(enterprises=("A", "B"))),
+    "SharPer": (WorkloadMix(cross=0.1, cross_type="csie"), dict(shards=2)),
+}
+
+
+@pytest.mark.parametrize("system", list(FAMILY_POINTS))
+def test_run_point_is_the_measure_window_of_run_scenario(system):
+    from repro.bench.runner import PointResult
+    from repro.scenarios.runner import run_scenario
+
+    mix, topology = FAMILY_POINTS[system]
+    spec = point_spec(
+        system, 800, mix, warmup=0.1, measure=0.2, drain=0.1, **topology
+    )
+    point = run_point(spec)
+    report = run_scenario(spec)
+    measure = report["windows"]["measure"]
+    # PointResult equality excludes perf (timing metadata).
+    assert point == PointResult(
+        spec.system,
+        spec.workload.rate,
+        measure["throughput_tps"],
+        measure["mean_latency_ms"],
+        measure["completed"],
     )
     assert point.completed > 0
+    assert set(point.perf) >= {"wall_clock_s", "events", "digest_calls"}
+
+
+def test_run_point_honours_the_event_budget():
+    import dataclasses
+
+    from repro.errors import SimulationLimitError
+
+    spec = point_spec("Flt-C", 800, MIX, **FAST)
+    spec = dataclasses.replace(
+        spec,
+        measurement=dataclasses.replace(spec.measurement, max_events=50),
+    )
+    with pytest.raises(SimulationLimitError):
+        run_point(spec)
+
+
+def test_every_entry_point_rejects_a_workload_free_spec_alike():
+    import dataclasses
+
+    from repro.errors import ConfigurationError
+    from repro.scenarios.runner import run_scenario
+
+    spec = dataclasses.replace(point_spec("Flt-C", 800, MIX, **FAST), workload=None)
+    message = "declares no workload"
+    with pytest.raises(ConfigurationError, match=message):
+        run_point(spec)
+    with pytest.raises(ConfigurationError, match=message):
+        run_scenario(spec)
+    with pytest.raises(ConfigurationError, match=message):
+        run_scenario(spec.with_kernel_workers(2))

@@ -261,28 +261,6 @@ def test_metrics_abort_windows():
     assert metrics.abort_rate(5.0, 6.0) == 0.0
 
 
-# ----------------------------------------------------------------------
-# legacy surface equivalence
-# ----------------------------------------------------------------------
-def test_run_point_spec_and_legacy_kwargs_agree():
-    from repro.bench.runner import point_spec, run_point
-
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    kwargs = dict(
-        enterprises=("A", "B"), shards=2, warmup=0.05, measure=0.15, drain=0.1
-    )
-    legacy = run_point("Flt-C", 1_000, mix, seed=3, **kwargs)
-    spec = point_spec("Flt-C", 1_000, mix, seed=3, **kwargs)
-    via_spec = run_point(spec)
-    assert legacy == via_spec
-    with pytest.raises(TypeError):
-        run_point(spec, 1_000)
-    with pytest.raises(TypeError):
-        run_point(spec, warmup=0.1)  # windows live in spec.measurement
-    with pytest.raises(TypeError):
-        run_point("Flt-C", 1_000, mix, bogus_knob=1)
-
-
 def test_deployment_config_rejects_non_qanaat_labels():
     for label in ("Flt-B (PF)", "Fabric"):  # typo'd / baseline family
         spec = ScenarioSpec(
