@@ -6,8 +6,8 @@ runs in minutes.  Every measured point is declared as a
 :class:`repro.scenarios.ScenarioSpec` (via
 :func:`repro.bench.runner.point_spec`) and measured through the one
 generic ``run_point``.  ``python -m repro.bench --experiment <id>
---scale full`` runs the paper-scale version; EXPERIMENTS.md records
-results.
+--scale full`` runs the paper-scale version and writes its
+``BENCH_<id>.json`` artifact.
 """
 
 import os

@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out."""
+"""Ablation benches: batching, γ reduction, the Figure 4 firewall
+configurations and checkpointing."""
 
 import pytest
 

@@ -8,14 +8,15 @@ privacy-firewall overhead shrinks relative to WAN latency.
 
 import pytest
 
-from repro.bench.experiments import SCALES, _wan_latency
+from repro.bench.experiments import SCALES
+from repro.scenarios.build import wan_latency
 from repro.workload.generator import WorkloadMix
 
 SYSTEMS = ["Flt-C", "Crd-C", "Flt-B", "Crd-B", "Crd-B(PF)"]
 
 
 def _latency():
-    return _wan_latency(SCALES["fast"])
+    return wan_latency(SCALES["fast"].enterprises, SCALES["fast"].shards)
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

@@ -31,7 +31,7 @@ from repro.analytics.fill import FilledLedger, fill_journal
 from repro.analytics.ingest import AnalyticsIngest, IngestStats
 from repro.analytics.schema import SCHEMA_VERSION, open_analytics
 from repro.bench.parallel import resolve_jobs
-from repro.bench.report import results_payload, write_json
+from repro.bench.report import results_payload
 from repro.crypto.hashing import digest
 from repro.ledger.provenance import key_history, lineage_closure
 
@@ -230,7 +230,7 @@ def _maintain(
 
 
 def run_analytics_bench(
-    out_path: str | Path,
+    data_dir: str | Path,
     records: int,
     shards: int = 2,
     seed: int = 1,
@@ -238,9 +238,10 @@ def run_analytics_bench(
     scale_name: str = "fast",
     keys_per_shard: int = 24,
 ) -> dict[str, Any]:
-    """Fill, ingest, cross-check, and measure; writes the artifact."""
-    out_path = Path(out_path)
-    data_dir = out_path.parent / "analytics_data"
+    """Fill, ingest, cross-check, and measure; returns the artifact
+    payload.  The ledger journal and the analytics database are built
+    under ``data_dir``."""
+    data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     journal_path = data_dir / "journal.sqlite"
     analytics_path = data_dir / "analytics.sqlite"
@@ -330,7 +331,6 @@ def run_analytics_bench(
             "latency_ms": latency_ms,
         },
     }
-    write_json(out_path, payload)
     if not all_verified:
         raise AssertionError(
             "analytics answers diverged from the in-process ledger: "

@@ -1,10 +1,10 @@
 """Benchmark harness: regenerates every table and figure of §5.
 
 ``python -m repro.bench --experiment fig7`` (or fig8/fig9/fig10/
-table2/table3/fig11/recovery/all) prints the paper-style rows;
-``--out DIR`` writes ``BENCH_<experiment>.json`` artifacts and
-``--seed N`` makes runs reproducible.  The same machinery backs the
-pytest-benchmark targets in ``benchmarks/``.
+table2/table3/fig11/recovery/all) prints the paper-style rows and
+writes ``BENCH_<experiment>.json`` artifacts (into ``--out DIR``, or
+the current directory); ``--seed N`` makes runs reproducible.  The
+same machinery backs the pytest-benchmark targets in ``benchmarks/``.
 """
 
 from repro.bench.parallel import PointTask, execute_tasks
@@ -14,7 +14,6 @@ from repro.bench.runner import (
     QANAAT_PROTOCOLS,
     point_spec,
     run_point,
-    sweep,
     sweep_merge,
 )
 
@@ -27,6 +26,5 @@ __all__ = [
     "run_point",
     "run_recovery_bench",
     "run_recovery_scenario",
-    "sweep",
     "sweep_merge",
 ]

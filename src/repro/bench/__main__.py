@@ -2,10 +2,10 @@
 [--out results/ --seed 7 --jobs 4]``.
 
 ``--list`` enumerates the available experiments with one-line
-descriptions; ``--out`` writes each experiment's results as
-``BENCH_<name>.json`` under the chosen directory (the recovery
-experiment manages its own ``BENCH_recovery.json`` there); ``--seed``
-is recorded in every artifact so a run can be reproduced exactly.
+descriptions; each experiment's payload is written as
+``BENCH_<name>.json`` under ``--out`` (default: the current
+directory), with any sidecar files next to it; ``--seed`` is recorded
+in every artifact so a run can be reproduced exactly.
 
 ``--jobs N`` fans the experiment's independent points out over N
 worker processes (``0`` = one per CPU; default: sequential).  The
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import time
 from pathlib import Path
 
-from repro.bench.experiments import EXPERIMENT_GROUPS, EXPERIMENTS
+from repro.bench.experiments import EXPERIMENT_GROUPS, EXPERIMENTS, run_experiment
 from repro.bench.report import write_json
 
 
@@ -36,22 +35,14 @@ def describe(fn) -> str:
 
 def list_experiments() -> str:
     """Experiments grouped by family, each with its one-line docstring
-    description; ungrouped names (should never exist) trail at the end
-    so nothing silently disappears from the listing."""
+    description."""
     width = max(len(name) for name in EXPERIMENTS)
     lines = ["available experiments:"]
-    listed: set[str] = set()
     for group, names in EXPERIMENT_GROUPS.items():
         lines.append(f"\n{group}:")
-        for name in names:
-            lines.append(f"  {name:<{width}}  {describe(EXPERIMENTS[name])}")
-            listed.add(name)
-    missing = [name for name in EXPERIMENTS if name not in listed]
-    if missing:
-        lines.append("\nungrouped:")
         lines.extend(
-            f"  {name:<{width}}  {describe(EXPERIMENTS[name])}"
-            for name in missing
+            f"  {name:<{width}}  {describe(EXPERIMENTS[name][1])}"
+            for name in names
         )
     return "\n".join(lines)
 
@@ -84,7 +75,8 @@ def main(argv: list[str] | None = None) -> None:
         "--out",
         default=None,
         metavar="PATH",
-        help="directory for BENCH_<experiment>.json artifacts",
+        help="directory for BENCH_<experiment>.json artifacts "
+        "(default: the current directory)",
     )
     parser.add_argument(
         "--seed",
@@ -157,7 +149,7 @@ def main(argv: list[str] | None = None) -> None:
         # driving process would export an empty one — refuse instead
         # of writing a misleading artifact.
         parser.error("--trace requires sequential execution (drop --jobs)")
-    out_dir = Path(args.out) if args.out is not None else None
+    out_dir = Path(args.out) if args.out is not None else Path(".")
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if tracing:
         from repro import obs
@@ -171,39 +163,15 @@ def main(argv: list[str] | None = None) -> None:
         profiler.enable()
     try:
         for name in names:
-            fn = EXPERIMENTS[name]
-            supported = inspect.signature(fn).parameters
-            kwargs = {}
-            if "scale" in supported:
-                kwargs["scale"] = args.scale
-            if "seed" in supported:
-                kwargs["seed"] = args.seed
-            if "jobs" in supported and args.jobs is not None:
-                kwargs["jobs"] = args.jobs
-            if (
-                "kernel_workers" in supported
-                and args.kernel_workers is not None
-            ):
-                kwargs["kernel_workers"] = args.kernel_workers
-            manages_own_artifact = "out" in supported
-            if manages_own_artifact and out_dir is not None:
-                kwargs["out"] = str(out_dir / f"BENCH_{name}.json")
-            started = time.perf_counter()
-            results = fn(**kwargs)
-            elapsed = time.perf_counter() - started
-            if out_dir is not None and not manages_own_artifact:
-                write_json(
-                    out_dir / f"BENCH_{name}.json",
-                    {
-                        "experiment": name,
-                        "scale": args.scale,
-                        "seed": args.seed,
-                        "results": results,
-                        # Excluded from the determinism byte-compare
-                        # (repro.bench.compare strips perf blocks).
-                        "perf": {"wall_clock_s": round(elapsed, 3)},
-                    },
-                )
+            payload = run_experiment(
+                name,
+                scale=args.scale,
+                seed=args.seed,
+                jobs=args.jobs,
+                kernel_workers=args.kernel_workers,
+                out_dir=out_dir,
+            )
+            write_json(out_dir / f"BENCH_{name}.json", payload)
     finally:
         if tracing:
             from repro import obs

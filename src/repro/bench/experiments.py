@@ -1,38 +1,52 @@
-"""Canned experiments: one function per table/figure of §5.
+"""Canned experiments: one per table/figure of §5, plus the scenario,
+population, batching, shard-parallel, observability and analytics
+matrices.
 
-Scale control: ``scale="fast"`` (default) uses 2 enterprises x 2
+Scale control: ``scale="fast"`` (default) uses 3 enterprises x 2
 shards and short windows so the whole suite runs in minutes;
 ``scale="full"`` uses the paper's 4 x 4.  Both produce the same
-*shapes*; EXPERIMENTS.md records paper-vs-measured.
+*shapes*.
 
-Every experiment is structured as **plan → execute → merge**: the plan
-step emits a flat list of :class:`~repro.bench.parallel.PointTask`
-items (one self-contained :class:`~repro.scenarios.spec.ScenarioSpec`
-per measured point), the execute step runs them — in order in-process,
+The point experiments (Figures 7-11, Tables 2-3, the ablations and the
+baseline landscape) are data: each is a function from a :class:`Scale`
+and a seed to a list of :class:`Panel` rows, and :func:`run_panels`
+runs them all as **plan → execute → merge**.  The plan is a flat list
+of :class:`~repro.bench.parallel.PointTask` items (one self-contained
+:class:`~repro.scenarios.spec.ScenarioSpec` per measured point, rate
+ladders as chains), the execute step runs them — in order in-process,
 or fanned out over a worker pool when ``jobs`` says so — and the merge
-step is a pure function from keyed results to the experiment's tables.
+is a pure function from keyed results to the experiment's tables.
 Because the merge consumes results by key in plan order, an
 experiment's output (and its ``BENCH_*.json`` artifact) is
 byte-identical regardless of job count or completion order.
+
+Every experiment is registered in :data:`EXPERIMENTS` with its
+``--list`` group, is called through :func:`run_experiment` with the
+same keywords, and returns its artifact payload; ``python -m
+repro.bench`` writes it as ``BENCH_<name>.json``.
 """
 
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from repro.bench.parallel import PointTask, execute_tasks
 from repro.bench.recovery import run_recovery_bench
 from repro.bench.runner import (
     FABRIC_VARIANTS,
+    FIG4_CONFIGS,
     QANAAT_PROTOCOLS,
-    PointResult,
     point_from_payload,
     point_spec,
     sweep_merge,
-    sweep_specs,
-    sweep_stopped,
+    sweep_stop,
 )
-from repro.sim.latency import RegionLatency
+from repro.errors import ConfigurationError
+from repro.scenarios.build import wan_latency
+from repro.scenarios.spec import ScenarioSpec
 from repro.workload.generator import WorkloadMix
 
 ALL_SYSTEMS = list(QANAAT_PROTOCOLS) + list(FABRIC_VARIANTS)
@@ -52,6 +66,8 @@ class Scale:
     drain: float = 0.2
     rate_ladder: tuple[float, ...] = (3_000, 6_000, 10_000, 14_000, 19_000, 25_000)
     fixed_rate: float = 8_000
+    #: Table 2's enterprise counts.
+    table2_enterprises: tuple[int, ...] = (2, 4)
 
 
 SCALES = {
@@ -66,6 +82,7 @@ SCALES = {
         drain=0.15,
         rate_ladder=(1_000, 2_000, 4_000),
         fixed_rate=1_500,
+        table2_enterprises=(2, 4, 6, 8),
     ),
     "fast": Scale(),
     "full": Scale(
@@ -76,297 +93,251 @@ SCALES = {
         drain=0.3,
         rate_ladder=(5_000, 15_000, 30_000, 50_000, 75_000, 105_000),
         fixed_rate=20_000,
+        table2_enterprises=(2, 4, 6, 8),
     ),
 }
 
 
-def _kwargs(scale: Scale, **extra):
-    base = dict(
-        enterprises=scale.enterprises,
-        shards=scale.shards,
-        warmup=scale.warmup,
-        measure=scale.measure,
-        drain=scale.drain,
+# ----------------------------------------------------------------------
+# point experiments as data
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Row:
+    """One reported row: its name plus one spec (a point) or a rate
+    ladder (a sweep, reported just below saturation)."""
+
+    name: str
+    specs: tuple[ScenarioSpec, ...]
+
+
+@dataclass(frozen=True)
+class Panel:
+    """One table of an experiment: its results key (``None`` for an
+    experiment whose results are this one panel's bare row list), the
+    title it prints under, and its rows."""
+
+    key: object
+    title: str
+    rows: list[Row]
+
+
+def _spec(sc: Scale, seed: int, system: str, rate: float, mix: WorkloadMix,
+          **extra) -> ScenarioSpec:
+    knobs = dict(
+        enterprises=sc.enterprises,
+        shards=sc.shards,
+        warmup=sc.warmup,
+        measure=sc.measure,
+        drain=sc.drain,
+        seed=seed,
     )
-    base.update(extra)
-    return base
+    knobs.update(extra)
+    return point_spec(system, rate, mix, **knobs)
 
 
-def _print_rows(title: str, rows: list[PointResult]) -> None:
-    print(f"\n=== {title} ===")
-    for row in rows:
-        print("  " + row.row())
+def _point(sc: Scale, seed: int, system: str, mix: WorkloadMix,
+           name: str | None = None, **extra) -> Row:
+    spec = _spec(sc, seed, system, sc.fixed_rate, mix, **extra)
+    return Row(name or system, (spec,))
 
 
-# ----------------------------------------------------------------------
-# plan/merge helpers shared by the sweep-shaped experiments
-# ----------------------------------------------------------------------
-def _sweep_tasks(prefix: tuple, system: str, scale: Scale, mix, **kwargs):
-    """One chained task per rung of the scale's rate ladder (the same
-    specs :func:`repro.bench.runner.sweep` plans from)."""
-    specs = sweep_specs(system, list(scale.rate_ladder), mix, **kwargs)
-    return [
-        PointTask(
-            key=prefix + (system, rung),
-            spec=spec,
-            chain=prefix + (system,),
-        )
-        for rung, spec in enumerate(specs)
+def _ladder(sc: Scale, seed: int, system: str, mix: WorkloadMix, **extra) -> Row:
+    return Row(system, tuple(
+        _spec(sc, seed, system, rate, mix, **extra) for rate in sc.rate_ladder
+    ))
+
+
+def run_panels(panels: list[Panel], jobs: int | None = None):
+    """Plan every row's specs as tasks (one chain per row), execute
+    them, merge each row to its just-below-saturation point under the
+    row's name, and print each panel.  Returns ``{key: rows}``, or the
+    bare row list of a single ``key=None`` panel."""
+    tasks = [
+        PointTask(key=(p, r, rung), spec=spec, chain=(p, r))
+        for p, panel in enumerate(panels)
+        for r, row in enumerate(panel.rows)
+        for rung, spec in enumerate(row.specs)
     ]
-
-
-def _sweep_stop(accumulated: list[dict]) -> bool:
-    return sweep_stopped([point_from_payload(p) for p in accumulated])
-
-
-def _merge_sweep(raw: dict, prefix: tuple, system: str, ladder_len: int):
-    """Reassemble one system's ladder (tolerating rungs sequential
-    early-stop never ran) and reduce it to (curve, best)."""
-    points = [
-        point_from_payload(raw[prefix + (system, rung)])
-        for rung in range(ladder_len)
-        if prefix + (system, rung) in raw
-    ]
-    return sweep_merge(points)
+    raw = execute_tasks(tasks, jobs=jobs, stop=sweep_stop)
+    results: dict = {}
+    for p, panel in enumerate(panels):
+        merged = []
+        for r, row in enumerate(panel.rows):
+            ladder = [
+                point_from_payload(raw[(p, r, rung)])
+                for rung in range(len(row.specs))
+                if (p, r, rung) in raw
+            ]
+            best = sweep_merge(ladder)[1]
+            best.system = row.name
+            merged.append(best)
+        results[panel.key] = merged
+        print(f"\n=== {panel.title} ===")
+        for point in merged:
+            print("  " + point.row())
+    return results[None] if None in results else results
 
 
 # ----------------------------------------------------------------------
 # Figures 7, 8, 9: latency-vs-throughput by cross-transaction type
 # ----------------------------------------------------------------------
-def _figure_cross_type(
-    cross_type: str,
-    percentages,
-    scale_name: str,
-    systems,
-    curves: bool,
-    seed: int = 1,
-    jobs: int | None = None,
-) -> dict:
-    scale = SCALES[scale_name]
-    tasks: list[PointTask] = []
-    for pct in percentages:
+#: Cross-transaction percentages of Figures 7-9.
+CROSS_PERCENTAGES = (10, 50, 90)
+
+
+def _cross_type_figure(cross_type: str, sc: Scale, seed: int) -> list[Panel]:
+    panels = []
+    for pct in CROSS_PERCENTAGES:
         mix = WorkloadMix(cross=pct / 100.0, cross_type=cross_type)
-        for system in systems:
-            tasks.extend(
-                _sweep_tasks((pct,), system, scale, mix, **_kwargs(scale, seed=seed))
-            )
-    raw = execute_tasks(tasks, jobs=jobs, stop=_sweep_stop)
-    results: dict = {}
-    for pct in percentages:
-        panel = []
-        for system in systems:
-            curve, best = _merge_sweep(raw, (pct,), system, len(scale.rate_ladder))
-            panel.append(best if not curves else curve)
-        label = f"{pct}% {cross_type}"
-        results[label] = panel
-        _print_rows(
-            f"{label} (just below saturation)",
-            panel if not curves else [p for c in panel for p in c],
-        )
-    return results
+        panels.append(Panel(
+            f"{pct}% {cross_type}",
+            f"{pct}% {cross_type} (just below saturation)",
+            [_ladder(sc, seed, system, mix) for system in ALL_SYSTEMS],
+        ))
+    return panels
 
 
-def fig7(scale: str = "fast", percentages=(10, 50, 90), systems=None, curves=False,
-         seed: int = 1, jobs: int | None = None):
+def fig7(sc: Scale, seed: int) -> list[Panel]:
     """Figure 7: intra-shard cross-enterprise workloads."""
-    return _figure_cross_type(
-        "isce", percentages, scale, systems or ALL_SYSTEMS, curves, seed=seed,
-        jobs=jobs,
-    )
+    return _cross_type_figure("isce", sc, seed)
 
 
-def fig8(scale: str = "fast", percentages=(10, 50, 90), systems=None, curves=False,
-         seed: int = 1, jobs: int | None = None):
+def fig8(sc: Scale, seed: int) -> list[Panel]:
     """Figure 8: cross-shard intra-enterprise workloads."""
-    return _figure_cross_type(
-        "csie", percentages, scale, systems or ALL_SYSTEMS, curves, seed=seed,
-        jobs=jobs,
-    )
+    return _cross_type_figure("csie", sc, seed)
 
 
-def fig9(scale: str = "fast", percentages=(10, 50, 90), systems=None, curves=False,
-         seed: int = 1, jobs: int | None = None):
+def fig9(sc: Scale, seed: int) -> list[Panel]:
     """Figure 9: cross-shard cross-enterprise workloads."""
-    return _figure_cross_type(
-        "csce", percentages, scale, systems or ALL_SYSTEMS, curves, seed=seed,
-        jobs=jobs,
-    )
+    return _cross_type_figure("csce", sc, seed)
 
 
 # ----------------------------------------------------------------------
 # Figure 10: scalability across spatial domains (4 AWS regions)
 # ----------------------------------------------------------------------
-def _wan_latency(scale: Scale) -> RegionLatency:
-    regions = ("TY", "SU", "VA", "CA")
-    region_of = {}
-    for index, enterprise in enumerate(scale.enterprises):
-        for shard in range(scale.shards):
-            region_of[f"{enterprise}{shard + 1}"] = regions[index % 4]
-    for index, enterprise in enumerate(scale.enterprises):
-        region_of[f"client-{enterprise}"] = regions[index % 4]
-    return RegionLatency(region_of)
-
-
-def fig10(scale: str = "fast", systems=None, seed: int = 1, jobs: int | None = None):
+def fig10(sc: Scale, seed: int) -> list[Panel]:
     """Figure 10: 10% cross workloads over the paper's RTT matrix.
 
     Fabric and variants are excluded, as in the paper (a single
     ordering service cannot be meaningfully geo-distributed).
     """
-    sc = SCALES[scale]
-    systems = systems or list(QANAAT_PROTOCOLS)
-    latency = _wan_latency(sc)
-    cross_types = ("isce", "csie", "csce")
-    tasks: list[PointTask] = []
-    for cross_type in cross_types:
+    latency = wan_latency(sc.enterprises, sc.shards)
+    panels = []
+    for cross_type in ("isce", "csie", "csce"):
         mix = WorkloadMix(cross=0.10, cross_type=cross_type)
-        for system in systems:
-            tasks.extend(
-                _sweep_tasks(
-                    (cross_type,), system, sc, mix,
-                    **_kwargs(sc, latency=latency, seed=seed),
-                )
-            )
-    raw = execute_tasks(tasks, jobs=jobs, stop=_sweep_stop)
-    results = {}
-    for cross_type in cross_types:
-        panel = [
-            _merge_sweep(raw, (cross_type,), system, len(sc.rate_ladder))[1]
-            for system in systems
-        ]
-        results[cross_type] = panel
-        _print_rows(f"Fig10 10% {cross_type} over 4 AWS regions", panel)
-    return results
+        panels.append(Panel(
+            cross_type,
+            f"Fig10 10% {cross_type} over 4 AWS regions",
+            [
+                _ladder(sc, seed, system, mix, latency=latency)
+                for system in QANAAT_PROTOCOLS
+            ],
+        ))
+    return panels
 
 
 # ----------------------------------------------------------------------
-# Table 2: varying the number of enterprises
+# Tables 2 and 3: enterprise count, faulty nodes
 # ----------------------------------------------------------------------
-def table2(scale: str = "fast", enterprise_counts=None, systems=None, seed: int = 1,
-           jobs: int | None = None):
+def table2(sc: Scale, seed: int) -> list[Panel]:
     """Table 2: 90% internal + 10% cross, 2..8 enterprises."""
-    sc = SCALES[scale]
-    if enterprise_counts is None:
-        enterprise_counts = (2, 4) if scale == "fast" else (2, 4, 6, 8)
-    systems = systems or list(QANAAT_PROTOCOLS)
-    names = tuple("ABCDEFGH")
     mix = WorkloadMix(cross=0.10, cross_type="isce")
-    tasks: list[PointTask] = []
-    for count in enterprise_counts:
-        for system in systems:
-            tasks.extend(
-                _sweep_tasks(
-                    (count,), system, sc, mix,
-                    **_kwargs(sc, enterprises=names[:count], seed=seed),
-                )
-            )
-    raw = execute_tasks(tasks, jobs=jobs, stop=_sweep_stop)
-    results = {}
-    for count in enterprise_counts:
-        panel = [
-            _merge_sweep(raw, (count,), system, len(sc.rate_ladder))[1]
-            for system in systems
-        ]
-        results[count] = panel
-        _print_rows(f"Table 2 with {count} enterprises", panel)
-    return results
-
-
-# ----------------------------------------------------------------------
-# Table 3: performance with faulty nodes
-# ----------------------------------------------------------------------
-def table3(scale: str = "fast", systems=None, seed: int = 1, jobs: int | None = None):
-    """Table 3: one failed non-primary node (plus exec+filter for PF)."""
-    sc = SCALES[scale]
-    systems = systems or ALL_SYSTEMS
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    cases = (("no fail", 0), ("1 fail", 1))
-    tasks = [
-        PointTask(
-            key=(label, system),
-            spec=point_spec(
-                system, sc.fixed_rate, mix,
-                **_kwargs(sc, crash_nodes=crash, seed=seed),
-            ),
-        )
-        for label, crash in cases
-        for system in systems
+    return [
+        Panel(count, f"Table 2 with {count} enterprises", [
+            _ladder(sc, seed, system, mix, enterprises=tuple("ABCDEFGH")[:count])
+            for system in QANAAT_PROTOCOLS
+        ])
+        for count in sc.table2_enterprises
     ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    results = {}
-    for label, _ in cases:
-        panel = [point_from_payload(raw[(label, system)]) for system in systems]
-        results[label] = panel
-        _print_rows(f"Table 3 ({label}) at {sc.fixed_rate:.0f} tps offered", panel)
-    return results
+
+
+def table3(sc: Scale, seed: int) -> list[Panel]:
+    """Table 3: one failed non-primary node (plus exec+filter for PF)."""
+    mix = WorkloadMix(cross=0.10, cross_type="isce")
+    return [
+        Panel(label, f"Table 3 ({label}) at {sc.fixed_rate:.0f} tps offered", [
+            _point(sc, seed, system, mix, crash_nodes=crash)
+            for system in ALL_SYSTEMS
+        ])
+        for label, crash in (("no fail", 0), ("1 fail", 1))
+    ]
 
 
 # ----------------------------------------------------------------------
 # Figure 11: contention (Zipfian skew)
 # ----------------------------------------------------------------------
-def fig11(scale: str = "fast", skews=(0.0, 1.0, 2.0), systems=None, seed: int = 1,
-          jobs: int | None = None):
+#: Zipf exponents of Figure 11.
+FIG11_SKEWS = (0.0, 1.0, 2.0)
+
+
+def fig11(sc: Scale, seed: int) -> list[Panel]:
     """Figure 11: 90% internal + 10% cross under key skew.
 
     Qanaat orders-then-executes so skew barely matters; Fabric-family
     systems lose most throughput to MVCC invalidation, with Fabric++
     rescuing part of it through reordering/early abort.
     """
-    sc = SCALES[scale]
-    systems = systems or ALL_SYSTEMS
-    tasks = [
-        PointTask(
-            key=(skew, system),
-            spec=point_spec(
-                system, sc.fixed_rate,
-                WorkloadMix(
-                    cross=0.10, cross_type="isce", zipf_s=skew,
-                    accounts_per_shard=500,
-                ),
-                **_kwargs(sc, seed=seed),
-            ),
+    panels = []
+    for skew in FIG11_SKEWS:
+        mix = WorkloadMix(
+            cross=0.10, cross_type="isce", zipf_s=skew, accounts_per_shard=500,
         )
-        for skew in skews
-        for system in systems
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    results = {}
-    for skew in skews:
-        panel = [point_from_payload(raw[(skew, system)]) for system in systems]
-        results[skew] = panel
-        _print_rows(f"Fig11 zipf s={skew} at {sc.fixed_rate:.0f} tps offered", panel)
-    return results
+        panels.append(Panel(
+            skew,
+            f"Fig11 zipf s={skew} at {sc.fixed_rate:.0f} tps offered",
+            [_point(sc, seed, system, mix) for system in ALL_SYSTEMS],
+        ))
+    return panels
 
 
 # ----------------------------------------------------------------------
-# Ablations (DESIGN.md §5)
+# Ablations and the related-work landscape
 # ----------------------------------------------------------------------
-def ablation_batching(scale: str = "fast", sizes=(1, 8, 64, 256), seed: int = 1,
-                      jobs: int | None = None):
+#: Batch sizes of the batching ablation.
+ABLATION_BATCH_SIZES = (1, 8, 64, 256)
+#: Checkpoint intervals of the checkpoint ablation (0 = off).
+ABLATION_CHECKPOINT_INTERVALS = (0, 16, 64, 256)
+
+
+def ablation_batching(sc: Scale, seed: int) -> list[Panel]:
     """Batch size vs throughput/latency for Flt-C."""
-    sc = SCALES[scale]
     mix = WorkloadMix(cross=0.10, cross_type="isce")
-    tasks = [
-        PointTask(
-            key=(size,),
-            spec=point_spec(
-                "Flt-C", sc.fixed_rate, mix,
-                **_kwargs(sc, batch_size=size, seed=seed),
-            ),
+    return [Panel(None, "Ablation: batch size (Flt-C)", [
+        _point(sc, seed, "Flt-C", mix, name=f"Flt-C/B={size}", batch_size=size)
+        for size in ABLATION_BATCH_SIZES
+    ])]
+
+
+def ablation_checkpoint(sc: Scale, seed: int) -> list[Panel]:
+    """Checkpointing cost: interval vs throughput/latency (Flt-C).
+
+    Checkpoint votes ride the same network and CPU as consensus, so
+    tight intervals tax throughput; 0 disables checkpointing (the
+    no-GC, unbounded-log configuration)."""
+    mix = WorkloadMix(cross=0.10, cross_type="isce")
+    return [Panel(None, "Ablation: checkpoint interval (Flt-C)", [
+        _point(
+            sc, seed, "Flt-C", mix, name=f"Flt-C/ckpt={interval or 'off'}",
+            checkpoint_interval=interval,
         )
-        for size in sizes
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    panel = []
-    for size in sizes:
-        point = point_from_payload(raw[(size,)])
-        point.system = f"Flt-C/B={size}"
-        panel.append(point)
-    _print_rows("Ablation: batch size (Flt-C)", panel)
-    return panel
+        for interval in ABLATION_CHECKPOINT_INTERVALS
+    ])]
 
 
-def ablation_gamma(scale: str = "fast"):
+def ablation_fig4(sc: Scale, seed: int) -> list[Panel]:
+    """Figure 4 infrastructure ladder at one load.
+
+    (a) crash combined -> (b) Byzantine ordering + crash execution ->
+    (c) single crash filter row -> (d) full h+1 x h+1 firewall: each
+    step buys a weaker trust assumption and costs latency/throughput.
+    """
+    mix = WorkloadMix(cross=0.10, cross_type="isce")
+    return [Panel(None, "Ablation: Figure 4 configurations (flattened)", [
+        _point(sc, seed, name, mix) for name in FIG4_CONFIGS
+    ])]
+
+
+def ablation_gamma():
     """γ transitive reduction: ID size saved, throughput unchanged.
 
     Measured directly on SequenceBooks over the bench collection
@@ -403,7 +374,7 @@ def ablation_gamma(scale: str = "fast"):
     return sizes
 
 
-def baseline_landscape(scale: str = "fast", seed: int = 1, jobs: int | None = None):
+def baseline_landscape(sc: Scale, seed: int) -> list[Panel]:
     """Related-work landscape (§6), two comparable slices.
 
     1. Confidential subset collaborations: Caper promotes every subset
@@ -415,7 +386,6 @@ def baseline_landscape(scale: str = "fast", seed: int = 1, jobs: int | None = No
        match them, which is exactly the §5 claim that the comparison
        is only meaningful on this slice.
     """
-    sc = SCALES[scale]
     slices = [
         (
             f"subset {pct}%",
@@ -435,85 +405,23 @@ def baseline_landscape(scale: str = "fast", seed: int = 1, jobs: int | None = No
         )
         for pct in (10, 50)
     ]
-    tasks = [
-        PointTask(
-            key=(label, system),
-            spec=point_spec(system, sc.fixed_rate, mix, **_kwargs(sc, seed=seed)),
-        )
-        for label, _, mix, systems in slices
-        for system in systems
+    return [
+        Panel(label, title, [_point(sc, seed, system, mix) for system in systems])
+        for label, title, mix, systems in slices
     ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    results: dict = {}
-    for label, title, _, systems in slices:
-        panel = [point_from_payload(raw[(label, system)]) for system in systems]
-        results[label] = panel
-        _print_rows(title, panel)
-    return results
-
-
-def ablation_fig4(scale: str = "fast", seed: int = 1, jobs: int | None = None):
-    """Figure 4 infrastructure ladder at one load.
-
-    (a) crash combined -> (b) Byzantine ordering + crash execution ->
-    (c) single crash filter row -> (d) full h+1 x h+1 firewall: each
-    step buys a weaker trust assumption and costs latency/throughput.
-    """
-    sc = SCALES[scale]
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    configs = ("Fig4a", "Fig4b", "Fig4c", "Fig4d")
-    tasks = [
-        PointTask(
-            key=(name,),
-            spec=point_spec(name, sc.fixed_rate, mix, **_kwargs(sc, seed=seed)),
-        )
-        for name in configs
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    panel = [point_from_payload(raw[(name,)]) for name in configs]
-    _print_rows("Ablation: Figure 4 configurations (flattened)", panel)
-    return panel
-
-
-def ablation_checkpoint(scale: str = "fast", intervals=(0, 16, 64, 256), seed: int = 1,
-                        jobs: int | None = None):
-    """Checkpointing cost: interval vs throughput/latency (Flt-C).
-
-    Checkpoint votes ride the same network and CPU as consensus, so
-    tight intervals tax throughput; 0 disables checkpointing (the
-    no-GC, unbounded-log configuration)."""
-    sc = SCALES[scale]
-    mix = WorkloadMix(cross=0.10, cross_type="isce")
-    tasks = [
-        PointTask(
-            key=(interval,),
-            spec=point_spec(
-                "Flt-C", sc.fixed_rate, mix,
-                **_kwargs(sc, checkpoint_interval=interval, seed=seed),
-            ),
-        )
-        for interval in intervals
-    ]
-    raw = execute_tasks(tasks, jobs=jobs)
-    panel = []
-    for interval in intervals:
-        point = point_from_payload(raw[(interval,)])
-        point.system = f"Flt-C/ckpt={interval or 'off'}"
-        panel.append(point)
-    _print_rows("Ablation: checkpoint interval (Flt-C)", panel)
-    return panel
 
 
 # ----------------------------------------------------------------------
 # Durability: crash-recovery scenario (repro.bench.recovery)
 # ----------------------------------------------------------------------
-def recovery(scale: str = "fast", seed: int = 1, out: str | None = None):
+def recovery(scale="fast", seed=1, jobs=None, kernel_workers=None, out_dir="."):
     """Kill a replica mid-measurement, rebuild it from WAL/SQLite
-    state, verify per-chain digests; writes ``BENCH_recovery.json``."""
+    state, verify per-chain digests; the artifact is
+    ``BENCH_recovery.json``."""
     sc = SCALES[scale]
     print("\n=== Crash-recovery (durable storage backends) ===")
     return run_recovery_bench(
-        out_path=out if out is not None else "BENCH_recovery.json",
+        out_path=None,
         seed=seed,
         enterprises=sc.enterprises[:2],
         shards=sc.shards,
@@ -524,35 +432,38 @@ def recovery(scale: str = "fast", seed: int = 1, out: str | None = None):
 
 
 # ----------------------------------------------------------------------
-# Scenario matrix (repro.scenarios registry)
+# Scenario matrices (repro.scenarios registry)
 # ----------------------------------------------------------------------
-def scenarios(
-    scale: str = "fast",
-    seed: int = 1,
-    out: str | None = None,
-    names: tuple[str, ...] | None = None,
-    jobs: int | None = None,
-):
-    """Scenario-matrix sweep: every registered named scenario (fault
-    timelines included) at one scale; writes ``BENCH_scenarios.json``
-    with per-window throughput/latency/abort-rate and fault traces."""
-    import time
-
-    from repro.bench.report import write_json
-    from repro.scenarios import bench_scenarios, summary_row
+def _run_matrix(specs: dict, jobs: int | None) -> tuple[dict, dict]:
+    """Run a named scenario matrix; return its reports and the
+    matrix-level perf block (wall-clock plus summed counters — per-
+    scenario perf blocks live inside each report).  All perf data is
+    excluded from the determinism byte-compare (repro.bench.compare)."""
     from repro.scenarios.runner import run_scenarios
 
-    from repro.obs import TRACE_SCHEMA_VERSION
-
-    sc = SCALES[scale]
-    specs = bench_scenarios(sc, seed=seed, names=names)
-    print(f"\n=== Scenario matrix ({len(specs)} scenarios, scale={scale}) ===")
     started = time.perf_counter()
     results = run_scenarios(specs, jobs=jobs)
-    elapsed = time.perf_counter() - started
+    perf = {"wall_clock_s": round(time.perf_counter() - started, 3)}
+    for counter in ("digest_calls", "verify_calls", "events"):
+        perf[counter] = sum(r["perf"][counter] for r in results.values())
+    return results, perf
+
+
+def scenarios(scale="fast", seed=1, jobs=None, kernel_workers=None, out_dir=".",
+              names: tuple[str, ...] | None = None):
+    """Scenario-matrix sweep: every registered named scenario (fault
+    timelines included) at one scale; the ``BENCH_scenarios.json``
+    artifact has per-window throughput/latency/abort-rate and fault
+    traces."""
+    from repro.obs import TRACE_SCHEMA_VERSION
+    from repro.scenarios import bench_scenarios, summary_row
+
+    specs = bench_scenarios(SCALES[scale], seed=seed, names=names)
+    print(f"\n=== Scenario matrix ({len(specs)} scenarios, scale={scale}) ===")
+    results, perf = _run_matrix(specs, jobs)
     for report in results.values():
         print("  " + summary_row(report))
-    payload = {
+    return {
         "experiment": "scenarios",
         "scale": scale,
         "seed": seed,
@@ -560,22 +471,8 @@ def scenarios(
         # (and any exported trace JSONL) follow.
         "trace_schema": TRACE_SCHEMA_VERSION,
         "results": results,
-        # Matrix-level measurement context; per-scenario perf blocks
-        # live inside each report.  All perf data is excluded from the
-        # determinism byte-compare (repro.bench.compare).
-        "perf": {
-            "wall_clock_s": round(elapsed, 3),
-            "digest_calls": sum(
-                r["perf"]["digest_calls"] for r in results.values()
-            ),
-            "verify_calls": sum(
-                r["perf"]["verify_calls"] for r in results.values()
-            ),
-            "events": sum(r["perf"]["events"] for r in results.values()),
-        },
+        "perf": perf,
     }
-    write_json(out if out is not None else "BENCH_scenarios.json", payload)
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -647,37 +544,24 @@ def _population_specs(sc: Scale, seed: int, kernel_workers: int | None):
     return specs
 
 
-def population(
-    scale: str = "smoke",
-    seed: int = 1,
-    out: str | None = None,
-    jobs: int | None = None,
-    kernel_workers: int | None = None,
-):
+def population(scale="smoke", seed=1, jobs=None, kernel_workers=None, out_dir="."):
     """Population-scale workload matrix: logical-population sizes x
     activity skews x arrival profiles (constant, diurnal wave, flash
     crowd with migrating hotspot), every cell multiplexing its
-    population onto a bounded wire-client pool; writes
-    ``BENCH_population.json`` with per-bucket ``series`` and
+    population onto a bounded wire-client pool; the
+    ``BENCH_population.json`` artifact has per-bucket ``series`` and
     ``population`` blocks.  Asserts the wire bound on every cell: actors
     used never exceed the declared pool.  The artifact is byte-identical
     (modulo ``perf``/``obs``) at any ``jobs`` and — given the same
     ``kernel_workers`` — any worker-pool width."""
-    import time
-
-    from repro.bench.report import write_json
     from repro.scenarios import summary_row
-    from repro.scenarios.runner import run_scenarios
 
-    sc = SCALES[scale]
-    specs = _population_specs(sc, seed, kernel_workers)
+    specs = _population_specs(SCALES[scale], seed, kernel_workers)
     print(
         f"\n=== Population workload matrix ({len(specs)} cells, "
         f"scale={scale}) ==="
     )
-    started = time.perf_counter()
-    results = run_scenarios(specs, jobs=jobs)
-    elapsed = time.perf_counter() - started
+    results, perf = _run_matrix(specs, jobs)
     pools = {}
     for name, report in results.items():
         stats = report["population"]
@@ -693,41 +577,26 @@ def population(
             + f"  logical={stats['logical_clients']:>9}"
             f"  wire={stats['wire_clients_used']}/{stats['wire_clients']}"
         )
-    payload = {
+    # The wire bound each cell ran under (the pool-bound assertion
+    # above holds over these).
+    perf["client_pool"] = pools
+    return {
         "experiment": "population",
         "scale": scale,
         "seed": seed,
         "results": results,
-        "perf": {
-            "wall_clock_s": round(elapsed, 3),
-            "digest_calls": sum(
-                r["perf"]["digest_calls"] for r in results.values()
-            ),
-            "events": sum(r["perf"]["events"] for r in results.values()),
-            # The wire bound each cell ran under (the pool-bound
-            # assertion above holds over these).
-            "client_pool": pools,
-        },
+        "perf": perf,
     }
-    write_json(out if out is not None else "BENCH_population.json", payload)
-    return payload
 
 
 # ----------------------------------------------------------------------
 # Observability smoke (repro.obs)
 # ----------------------------------------------------------------------
-def obs(
-    scale: str = "smoke",
-    seed: int = 1,
-    out: str | None = None,
-    trace_out: str | None = None,
-):
+def obs(scale="smoke", seed=1, jobs=None, kernel_workers=None, out_dir="."):
     """Observability smoke: one traced cross-shard cross-enterprise
-    scenario; writes ``BENCH_obs.json`` + the trace JSONL next to it."""
-    from pathlib import Path
-
+    scenario; the trace JSONL lands next to ``BENCH_obs.json`` as
+    ``BENCH_obs_trace.jsonl``."""
     from repro import obs as obs_mod
-    from repro.bench.report import write_json
     from repro.obs import TRACE_SCHEMA_VERSION
     from repro.scenarios import (
         MeasurementSpec,
@@ -772,15 +641,12 @@ def obs(
     trace_jsonl = report["obs"].pop("trace_jsonl", None)
     if trace_jsonl is None and obs_mod.TRACER is not None:
         trace_jsonl = obs_mod.TRACER.to_jsonl()
-    out_path = Path(out) if out is not None else Path("BENCH_obs.json")
-    if trace_out is None:
-        trace_out = str(out_path.parent / "BENCH_obs_trace.jsonl")
     if trace_jsonl is not None:
-        trace_path = Path(trace_out)
+        trace_path = Path(out_dir) / "BENCH_obs_trace.jsonl"
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         trace_path.write_text(trace_jsonl, encoding="utf-8")
         print(f"  trace written to {trace_path}")
-    payload = {
+    return {
         "experiment": "obs",
         "scale": scale,
         "seed": seed,
@@ -792,8 +658,6 @@ def obs(
             "events": report["perf"]["events"],
         },
     }
-    write_json(out_path, payload)
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -806,20 +670,14 @@ SHARDPAR_SHARDS = {"smoke": (2,), "fast": (2, 4), "full": (4, 8)}
 SHARDPAR_RATE = {"smoke": 100.0, "fast": 250.0, "full": 250.0}
 
 
-def shardpar(
-    scale: str = "fast",
-    seed: int = 1,
-    out: str | None = None,
-    kernel_workers: int | None = None,
-):
+def shardpar(scale="fast", seed=1, jobs=None, kernel_workers=None, out_dir="."):
     """Shard-parallel kernel sweep: shards x worker counts, each point
     byte-compared across worker counts and timed against the plain
-    sequential kernel; writes ``BENCH_shardpar.json`` with per-point
-    speedups in the ``perf`` block."""
+    sequential kernel; the ``BENCH_shardpar.json`` artifact has
+    per-point speedups in its ``perf`` block."""
     import dataclasses
-    import time as _time
 
-    from repro.bench.report import canonical_json, strip_perf, write_json
+    from repro.bench.report import canonical_json, strip_perf
     from repro.scenarios import run_scenario, shardpar_scenario
     from repro.scenarios.shardpar import run_scenario_shardpar
 
@@ -843,11 +701,11 @@ def shardpar(
             drain=sc.drain,
         )
         label = f"{len(spec.topology.enterprises)}x{shards}"
-        seq_started = _time.perf_counter()
+        seq_started = time.perf_counter()
         sequential = run_scenario(
             dataclasses.replace(spec, kernel_workers=None)
         )
-        seq_wall = _time.perf_counter() - seq_started
+        seq_wall = time.perf_counter() - seq_started
         reference: str | None = None
         per_worker: dict = {}
         for workers in worker_counts:
@@ -885,15 +743,13 @@ def shardpar(
             for workers, data in per_worker.items()
         )
         print(f"  {label:<6} seq={seq_wall:.2f}s  {row}")
-    payload = {
+    return {
         "experiment": "shardpar",
         "scale": scale,
         "seed": seed,
         "results": results,
         "perf": {"points": points},
     }
-    write_json(out if out is not None else "BENCH_shardpar.json", payload)
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -907,27 +763,19 @@ ANALYTICS_RECORDS = {"smoke": 2_000, "fast": 50_000, "full": 1_000_000}
 ANALYTICS_KEYS = {"smoke": 24, "fast": 48, "full": 96}
 
 
-def analytics(
-    scale: str = "fast",
-    seed: int = 1,
-    jobs: int | None = None,
-    out: str | None = None,
-):
+def analytics(scale="fast", seed=1, jobs=None, kernel_workers=None, out_dir="."):
     """Off-replica analytics: fill a seeded multi-collection ledger,
     ingest its journal into the indexed analytics database, cross-check
     the four query families against the in-process answers, and report
-    per-family latency percentiles; writes ``BENCH_analytics.json``
-    (ledger + analytics databases land in ``analytics_data/`` next to
-    it, ready for ``python -m repro.analytics``)."""
-    from pathlib import Path
-
+    per-family latency percentiles (ledger + analytics databases land
+    in ``analytics_data/`` next to ``BENCH_analytics.json``, ready for
+    ``python -m repro.analytics``)."""
     from repro.analytics.bench import run_analytics_bench
 
-    sc = SCALES[scale]
     return run_analytics_bench(
-        Path(out) if out is not None else Path("BENCH_analytics.json"),
+        Path(out_dir) / "analytics_data",
         records=ANALYTICS_RECORDS[scale],
-        shards=sc.shards,
+        shards=SCALES[scale].shards,
         seed=seed,
         jobs=jobs,
         scale_name=scale,
@@ -941,8 +789,10 @@ def analytics(
 #: Batch-cap x inflight-window grids per scale.  The cap ladder spans
 #: "seal almost every arrival alone" to "deep amortization"; the window
 #: ladder spans strict one-at-a-time consensus to deep pipelining, so
-#: the saturation knee is visible inside the grid at every scale.
-BATCHING_CAPS = {"smoke": (4, 16, 64), "fast": (4, 16, 64), "full": (8, 32, 128)}
+#: the saturation knee is visible inside the grid at every scale.  At
+#: smoke scale a cap of 64 never binds (every c64 cell equals its c16
+#: twin), so the smoke grid stops at 16.
+BATCHING_CAPS = {"smoke": (4, 16), "fast": (4, 16, 64), "full": (8, 32, 128)}
 BATCHING_WINDOWS = {"smoke": (1, 4, 16), "fast": (1, 4, 16), "full": (1, 8, 32)}
 #: Named workload mixes the sweep crosses the grid with: pure
 #: single-shard traffic (internal-consensus lane) and a cross-heavy mix
@@ -953,7 +803,7 @@ BATCHING_WORKLOADS = {
 }
 
 
-def _batching_specs(sc: Scale, seed, kernel_workers, caps, windows, workloads):
+def _batching_specs(scale: str, seed: int, kernel_workers: int | None):
     from repro.scenarios import (
         MeasurementSpec,
         ScenarioSpec,
@@ -961,11 +811,11 @@ def _batching_specs(sc: Scale, seed, kernel_workers, caps, windows, workloads):
         WorkloadSpec,
     )
 
+    sc = SCALES[scale]
     specs = {}
-    for wl_name in workloads:
-        mix = BATCHING_WORKLOADS[wl_name]
-        for cap in caps:
-            for window in windows:
+    for wl_name, mix in BATCHING_WORKLOADS.items():
+        for cap in BATCHING_CAPS[scale]:
+            for window in BATCHING_WINDOWS[scale]:
                 name = f"batch-{wl_name}-c{cap}-w{window}"
                 specs[name] = ScenarioSpec(
                     name=name,
@@ -993,72 +843,31 @@ def _batching_specs(sc: Scale, seed, kernel_workers, caps, windows, workloads):
     return specs
 
 
-def batching(
-    scale: str = "smoke",
-    seed: int = 1,
-    out: str | None = None,
-    jobs: int | None = None,
-    kernel_workers: int | None = None,
-    caps: tuple[int, ...] | None = None,
-    windows: tuple[int, ...] | None = None,
-    workloads: tuple[str, ...] | None = None,
-):
+def batching(scale="smoke", seed=1, jobs=None, kernel_workers=None, out_dir="."):
     """Adaptive-batching knee sweep: batch cap x inflight window x
     workload mix on the adaptive sealer, plus a per-signature-baseline
     rerun of one cell proving verify_many reduces ``verify_calls``
-    without changing results; writes ``BENCH_batching.json`` with the
-    throughput matrix and per-point ``perf`` blocks.  The artifact is
+    without changing results; the ``BENCH_batching.json`` artifact has
+    the throughput matrix and per-point ``perf`` blocks.  It is
     byte-identical (modulo ``perf``/``obs``) at any ``jobs`` and
     ``kernel_workers``."""
-    import time
-
-    from repro.bench.report import canonical_json, strip_perf, write_json
+    from repro.bench.report import canonical_json, strip_perf
     from repro.crypto.signatures import set_batch_verify
-    from repro.errors import ConfigurationError
     from repro.scenarios import run_scenario, summary_row
-    from repro.scenarios.runner import run_scenarios
 
-    if scale not in SCALES:
-        raise ConfigurationError(
-            f"unknown scale {scale!r}; valid: " + ", ".join(SCALES)
-        )
-    sc = SCALES[scale]
-    caps = tuple(caps) if caps is not None else BATCHING_CAPS[scale]
-    windows = tuple(windows) if windows is not None else BATCHING_WINDOWS[scale]
-    workloads = (
-        tuple(workloads) if workloads is not None else tuple(BATCHING_WORKLOADS)
-    )
-    for cap in caps:
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            raise ConfigurationError(
-                f"batch caps must be integers >= 1, got {cap!r}"
-            )
-    for window in windows:
-        if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-            raise ConfigurationError(
-                f"inflight windows must be integers >= 1, got {window!r}"
-            )
-    for wl_name in workloads:
-        if wl_name not in BATCHING_WORKLOADS:
-            raise ConfigurationError(
-                f"unknown batching workload {wl_name!r}; valid: "
-                + ", ".join(BATCHING_WORKLOADS)
-            )
-    specs = _batching_specs(sc, seed, kernel_workers, caps, windows, workloads)
+    caps, windows = BATCHING_CAPS[scale], BATCHING_WINDOWS[scale]
+    specs = _batching_specs(scale, seed, kernel_workers)
     print(
         f"\n=== Adaptive batching sweep ({len(specs)} cells, "
         f"caps={list(caps)}, windows={list(windows)}, scale={scale}) ==="
     )
-    started = time.perf_counter()
-    results = run_scenarios(specs, jobs=jobs)
-    elapsed = time.perf_counter() - started
+    results, perf = _run_matrix(specs, jobs)
     matrix: dict = {}
-    for wl_name in workloads:
+    for wl_name in BATCHING_WORKLOADS:
         cells = matrix[wl_name] = {}
         for cap in caps:
             for window in windows:
-                name = f"batch-{wl_name}-c{cap}-w{window}"
-                report = results[name]
+                report = results[f"batch-{wl_name}-c{cap}-w{window}"]
                 measure = report["windows"]["measure"]
                 cells[f"c{cap}-w{window}"] = {
                     "throughput_tps": measure["throughput_tps"],
@@ -1095,74 +904,110 @@ def batching(
         f"baseline={verify_baseline} "
         f"(-{100 * (1 - verify_batched / verify_baseline):.1f}%)"
     )
-    payload = {
+    perf["verify_baseline"] = {
+        "cell": probe_name,
+        "batched_verify_calls": verify_batched,
+        "baseline_verify_calls": verify_baseline,
+    }
+    return {
         "experiment": "batching",
         "scale": scale,
         "seed": seed,
         "caps": list(caps),
         "windows": list(windows),
-        "workloads": list(workloads),
+        "workloads": list(BATCHING_WORKLOADS),
         # Throughput/latency per cell — deterministic (virtual-time)
         # numbers, so they participate in the byte-compare.
         "matrix": matrix,
         "results": results,
-        "perf": {
-            "wall_clock_s": round(elapsed, 3),
-            "digest_calls": sum(
-                r["perf"]["digest_calls"] for r in results.values()
-            ),
-            "verify_calls": sum(
-                r["perf"]["verify_calls"] for r in results.values()
-            ),
-            "events": sum(r["perf"]["events"] for r in results.values()),
-            "verify_baseline": {
-                "cell": probe_name,
-                "batched_verify_calls": verify_batched,
-                "baseline_verify_calls": verify_baseline,
-            },
-        },
+        "perf": perf,
     }
-    write_json(out if out is not None else "BENCH_batching.json", payload)
-    return payload
 
 
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+def _wrapped(fn, results):
+    """The registry entry of an experiment whose artifact wraps
+    ``results(sc, seed, jobs)`` in the standard fields (``fn`` names
+    and describes it)."""
+
+    @functools.wraps(fn)
+    def run(scale="fast", seed=1, jobs=None, kernel_workers=None, out_dir="."):
+        started = time.perf_counter()
+        value = results(SCALES[scale], seed, jobs)
+        return {
+            "experiment": fn.__name__,
+            "scale": scale,
+            "seed": seed,
+            "results": value,
+            # Excluded from the determinism byte-compare
+            # (repro.bench.compare strips perf blocks).
+            "perf": {"wall_clock_s": round(time.perf_counter() - started, 3)},
+        }
+
+    return run
+
+
+def _points(panels):
+    """The registry entry of a point experiment."""
+    return _wrapped(
+        panels, lambda sc, seed, jobs: run_panels(panels(sc, seed), jobs)
+    )
+
+
+_FIGURES = "Paper figures and tables (§5)"
+
+#: name -> (``--list`` group, run).  Every run takes the same keywords
+#: (scale, seed, jobs, kernel_workers, out_dir) and returns the payload
+#: the CLI writes as ``BENCH_<name>.json``; ``--list`` and ``all``
+#: follow this order.
 EXPERIMENTS = {
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "table2": table2,
-    "table3": table3,
-    "fig11": fig11,
-    "ablation_batching": ablation_batching,
-    "ablation_gamma": ablation_gamma,
-    "ablation_checkpoint": ablation_checkpoint,
-    "ablation_fig4": ablation_fig4,
-    "baseline_landscape": baseline_landscape,
-    "recovery": recovery,
-    "scenarios": scenarios,
-    "population": population,
-    "batching": batching,
-    "shardpar": shardpar,
-    "obs": obs,
-    "analytics": analytics,
+    "fig7": (_FIGURES, _points(fig7)),
+    "fig8": (_FIGURES, _points(fig8)),
+    "fig9": (_FIGURES, _points(fig9)),
+    "fig10": (_FIGURES, _points(fig10)),
+    "fig11": (_FIGURES, _points(fig11)),
+    "table2": (_FIGURES, _points(table2)),
+    "table3": (_FIGURES, _points(table3)),
+    "ablation_batching": ("Ablations", _points(ablation_batching)),
+    "ablation_gamma": (
+        "Ablations", _wrapped(ablation_gamma, lambda sc, seed, jobs: ablation_gamma()),
+    ),
+    "ablation_checkpoint": ("Ablations", _points(ablation_checkpoint)),
+    "ablation_fig4": ("Ablations", _points(ablation_fig4)),
+    "baseline_landscape": ("Baselines", _points(baseline_landscape)),
+    "batching": ("Batching and pipelining", batching),
+    "scenarios": ("Scenarios and durability", scenarios),
+    "recovery": ("Scenarios and durability", recovery),
+    "population": ("Population workloads", population),
+    "shardpar": ("Shard-parallel kernel", shardpar),
+    "obs": ("Observability", obs),
+    "analytics": ("Analytics", analytics),
 }
 
-#: ``--list`` presentation order: every experiment appears in exactly
-#: one group (checked by a tier-1 test and the CLI itself).
+#: ``--list`` presentation: group -> experiment names, in registry order.
 EXPERIMENT_GROUPS = {
-    "Paper figures and tables (§5)": (
-        "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "table3",
-    ),
-    "Ablations": (
-        "ablation_batching", "ablation_gamma", "ablation_checkpoint",
-        "ablation_fig4",
-    ),
-    "Baselines": ("baseline_landscape",),
-    "Batching and pipelining": ("batching",),
-    "Scenarios and durability": ("scenarios", "recovery"),
-    "Population workloads": ("population",),
-    "Shard-parallel kernel": ("shardpar",),
-    "Observability": ("obs",),
-    "Analytics": ("analytics",),
+    group: tuple(name for name, (g, _) in EXPERIMENTS.items() if g == group)
+    for group, _ in EXPERIMENTS.values()
 }
+
+
+def run_experiment(name: str, scale: str = "fast", seed: int = 1,
+                   jobs: int | None = None, kernel_workers: int | None = None,
+                   out_dir: str | Path = ".") -> dict:
+    """Run one registered experiment; return its artifact payload.
+    Sidecar files (a trace, analytics databases) land in ``out_dir``."""
+    if name not in EXPERIMENTS:
+        raise ConfigurationError(
+            f"unknown experiment {name!r}; valid: " + ", ".join(EXPERIMENTS)
+        )
+    if scale not in SCALES:
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; valid: " + ", ".join(SCALES)
+        )
+    _, run = EXPERIMENTS[name]
+    return run(
+        scale=scale, seed=seed, jobs=jobs, kernel_workers=kernel_workers,
+        out_dir=out_dir,
+    )

@@ -14,7 +14,7 @@ byte-identical regardless of job count or completion order.
 
 Sequential execution (``jobs=1``, the default) runs the same tasks
 through the same plain-dict path in-process, and additionally honors
-per-chain early stopping — the classic ``sweep`` behavior of not
+per-chain early stopping — a sweep's behavior of not
 climbing a rate ladder past the saturation knee.  Parallel execution
 runs every rung and relies on the *pure* merge step (e.g.
 :func:`repro.bench.runner.sweep_merge`) to discard exactly the rungs

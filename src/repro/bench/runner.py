@@ -2,8 +2,10 @@
 
 Mirrors the paper's methodology (§5): open-loop Poisson arrivals, a
 warmup window, a measurement window, results from the client side.
-``sweep`` raises the offered load until the end-to-end throughput
-saturates and reports the point just below saturation.
+A sweep raises the offered load until the end-to-end throughput
+saturates and reports the point just below saturation: the rungs of a
+rate ladder run as one :class:`~repro.bench.parallel.PointTask` chain
+stopped by :func:`sweep_stop`, and :func:`sweep_merge` reduces them.
 
 Every benchmarked system — the six Qanaat protocol configurations, the
 Fabric family, Caper, SharPer, AHL — sits behind the
@@ -162,13 +164,15 @@ def _acceptable(point: PointResult, latency_cap_ms: float) -> bool:
 def sweep_merge(
     points: list[PointResult], latency_cap_ms: float = 2_000.0
 ) -> tuple[list[PointResult], PointResult]:
-    """The pure half of :func:`sweep`: ladder-ordered points in,
-    (curve, just-below-saturation point) out.
+    """Ladder-ordered points in, (curve, just-below-saturation point)
+    out.
 
-    Walks the ladder exactly like the classic sequential sweep —
-    including stopping one rung past the knee — so feeding it a *full*
-    ladder (as the parallel executor produces) or the truncated prefix
-    (as sequential early-stop produces) yields identical output.
+    Mirrors §5: "we use an increasing number of requests until the
+    end-to-end throughput is saturated, and state the throughput and
+    latency just below saturation."  Walks the ladder up to one rung
+    past the knee, so feeding it a *full* ladder (as the parallel
+    executor produces) or the truncated prefix (as sequential
+    early-stop produces) yields identical output.
     """
     curve: list[PointResult] = []
     best: PointResult | None = None
@@ -187,9 +191,8 @@ def sweep_merge(
 def sweep_stopped(
     points: list[PointResult], latency_cap_ms: float = 2_000.0
 ) -> bool:
-    """Would the classic sweep stop climbing after these points?  The
-    sequential executor's chain-stop predicate; by construction it
-    agrees with where :func:`sweep_merge` truncates."""
+    """Would a sweep stop climbing after these points?  By construction
+    it agrees with where :func:`sweep_merge` truncates."""
     seen_acceptable = False
     for point in points:
         if _acceptable(point, latency_cap_ms):
@@ -199,31 +202,8 @@ def sweep_stopped(
     return False
 
 
-def sweep_specs(
-    system: str, rates: list[float], mix: WorkloadMix, **kwargs
-) -> list[ScenarioSpec]:
-    """One spec per rung of a rate ladder (the plan half of a sweep)."""
-    return [point_spec(system, rate, mix, **kwargs) for rate in rates]
-
-
-def sweep(
-    system: str,
-    rates: list[float],
-    mix: WorkloadMix,
-    latency_cap_ms: float = 2_000.0,
-    **kwargs,
-) -> tuple[list[PointResult], PointResult]:
-    """Measure a load curve; return (curve, just-below-saturation point).
-
-    Mirrors §5: "we use an increasing number of requests until the
-    end-to-end throughput is saturated, and state the throughput and
-    latency just below saturation."  Implemented as run-until-stopped
-    plus the pure :func:`sweep_merge`, the same pieces the parallel
-    experiment planner uses.
-    """
-    curve: list[PointResult] = []
-    for spec in sweep_specs(system, rates, mix, **kwargs):
-        curve.append(run_point(spec))
-        if sweep_stopped(curve, latency_cap_ms):
-            break
-    return sweep_merge(curve, latency_cap_ms)
+def sweep_stop(payloads: list[dict]) -> bool:
+    """:func:`sweep_stopped` over scenario reports: the chain-stop
+    predicate a sweep hands to
+    :func:`~repro.bench.parallel.execute_tasks`."""
+    return sweep_stopped([point_from_payload(p) for p in payloads])

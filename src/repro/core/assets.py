@@ -345,6 +345,3 @@ class AssetWallet:
     def reveal_op(self, coin_id: str) -> Operation:
         amount, blinding = self.coins[coin_id]
         return Operation("assets", "reveal", (coin_id, amount, blinding))
-
-    def exists_op(self, coin_id: str) -> Operation:
-        return Operation("assets", "exists", (coin_id,))

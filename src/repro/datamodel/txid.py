@@ -269,10 +269,6 @@ class SequenceBook:
                             )
             previous = tx_id
 
-    def is_next(self, tx_id: TxId) -> bool:
-        key = tx_id.alpha.key()
-        return tx_id.alpha.seq == self._committed.get(key, 0) + 1
-
     # ------------------------------------------------------------------
     # commitment
     # ------------------------------------------------------------------

@@ -43,17 +43,17 @@ def pair_scopes(enterprises: tuple[str, ...]) -> list[frozenset]:
     return scopes
 
 
-def _wan_latency(spec: ScenarioSpec):
+def wan_latency(enterprises: tuple[str, ...], shards: int):
     """The paper's four-AWS-region placement (§5.4): enterprises round-
     robin over regions, clients co-located with their enterprise."""
     from repro.sim.latency import RegionLatency
 
     regions = ("TY", "SU", "VA", "CA")
     region_of = {}
-    for index, enterprise in enumerate(spec.topology.enterprises):
-        for shard in range(spec.topology.shards):
+    for index, enterprise in enumerate(enterprises):
+        for shard in range(shards):
             region_of[f"{enterprise}{shard + 1}"] = regions[index % 4]
-    for index, enterprise in enumerate(spec.topology.enterprises):
+    for index, enterprise in enumerate(enterprises):
         region_of[f"client-{enterprise}"] = regions[index % 4]
     return RegionLatency(region_of)
 
@@ -63,7 +63,7 @@ def resolve_latency(spec: ScenarioSpec):
     if spec.latency is not None:
         return spec.latency
     if spec.topology.wan:
-        return _wan_latency(spec)
+        return wan_latency(spec.topology.enterprises, spec.topology.shards)
     return None
 
 

@@ -473,14 +473,13 @@ def test_bench_artifact_deterministic(tmp_path):
     from repro.bench.report import strip_perf
 
     first = run_analytics_bench(
-        tmp_path / "a" / "BENCH_analytics.json",
+        tmp_path / "a" / "analytics_data",
         records=400, shards=2, seed=3, scale_name="smoke",
     )
     second = run_analytics_bench(
-        tmp_path / "b" / "BENCH_analytics.json",
+        tmp_path / "b" / "analytics_data",
         records=400, shards=2, seed=3, jobs=2, scale_name="smoke",
     )
     assert first["results"]["all_verified"]
     assert strip_perf(first) == strip_perf(second)
-    assert (tmp_path / "a" / "BENCH_analytics.json").exists()
     assert (tmp_path / "a" / "analytics_data" / "journal.sqlite").exists()

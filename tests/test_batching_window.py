@@ -366,16 +366,12 @@ def test_demoted_primary_relays_batch_crash_model():
 # experiment knob validation
 # ----------------------------------------------------------------------
 def test_batching_experiment_rejects_unknown_knobs():
-    from repro.bench.experiments import batching
+    # The grid (caps x windows x workloads) is fixed per scale; the
+    # scale is the one knob left, checked on the registry's run path.
+    from repro.bench.experiments import run_experiment
 
     with pytest.raises(ConfigurationError):
-        batching(scale="warp")
-    with pytest.raises(ConfigurationError):
-        batching(scale="smoke", caps=(0,))
-    with pytest.raises(ConfigurationError):
-        batching(scale="smoke", windows=("wide",))
-    with pytest.raises(ConfigurationError):
-        batching(scale="smoke", workloads=("adversarial",))
+        run_experiment("batching", scale="warp")
 
 
 def test_batching_experiment_registered_in_groups():

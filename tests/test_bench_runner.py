@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.bench.runner import QANAAT_PROTOCOLS, point_spec, run_point, sweep
+from repro.bench.parallel import PointTask, execute_tasks
+from repro.bench.runner import (
+    QANAAT_PROTOCOLS,
+    point_from_payload,
+    point_spec,
+    run_point,
+    sweep_merge,
+    sweep_stop,
+)
 from repro.core.deployment import Metrics
 from repro.errors import WorkloadError
 from repro.workload.generator import WorkloadMix
@@ -43,7 +51,17 @@ def test_fabric_point_runs():
 
 
 def test_sweep_reports_point_below_saturation():
-    curve, best = sweep("Fabric", [1000, 4000, 30000, 60000], MIX, **FAST)
+    # The experiments' sweep path: one task chain per rate ladder,
+    # stopped past the knee, reduced by sweep_merge.
+    tasks = [
+        PointTask(
+            key=(rung,), spec=point_spec("Fabric", rate, MIX, **FAST),
+            chain=("Fabric",),
+        )
+        for rung, rate in enumerate([1000, 4000, 30000, 60000])
+    ]
+    raw = execute_tasks(tasks, stop=sweep_stop)
+    curve, best = sweep_merge([point_from_payload(p) for p in raw.values()])
     assert best.throughput_tps >= 900
     assert len(curve) <= 4
     assert not best.saturated

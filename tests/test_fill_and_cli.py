@@ -1,11 +1,11 @@
-"""The EXPERIMENTS.md filler and bench CLI plumbing."""
+"""Bench CLI plumbing: registry, artifact writing, flags."""
 
 import json
 
 import pytest
 
-from repro.bench.fill import render, splice
-from repro.bench.report import markdown_table, write_json
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.report import write_json
 from repro.bench.runner import PointResult
 
 
@@ -18,40 +18,7 @@ def panel():
     }
 
 
-def test_markdown_table_renders_rows():
-    table = markdown_table("T", panel())
-    assert "| Flt-C | 990 | 4.2 |" in table
-    assert "| Fabric | 240 | 31.0 |" in table
-    assert table.startswith("### T")
-
-
-def test_render_wraps_bare_lists():
-    text = render("x", [PointResult("Flt-C", 1000, 990, 4.2, 500)], "fast")
-    assert "Measured (x, fast scale)" in text
-    assert "Flt-C" in text
-
-
-def test_splice_replaces_marker_once():
-    content = "intro\n<!-- MEASURED:fig7 -->\noutro"
-    first = splice(content, "fig7", "TABLE-1")
-    assert "TABLE-1" in first
-    assert "<!-- /MEASURED:fig7 -->" in first
-    assert "outro" in first
-    # Re-splicing replaces the previous fill instead of duplicating.
-    second = splice(first, "fig7", "TABLE-2")
-    assert "TABLE-2" in second
-    assert "TABLE-1" not in second
-    assert second.count("<!-- /MEASURED:fig7 -->") == 1
-
-
-def test_splice_requires_marker():
-    with pytest.raises(SystemExit, match="no marker"):
-        splice("no markers here", "fig7", "TABLE")
-
-
 def test_cli_knows_every_experiment():
-    from repro.bench.experiments import EXPERIMENTS
-
     for required in (
         "fig7", "fig8", "fig9", "fig10", "table2", "table3", "fig11",
         "ablation_batching", "ablation_gamma", "ablation_checkpoint",
@@ -70,8 +37,6 @@ def test_fig4_configs_resolve_to_valid_deployments():
 
 
 def test_cli_knows_the_recovery_experiment():
-    from repro.bench.experiments import EXPERIMENTS
-
     assert "recovery" in EXPERIMENTS
 
 
@@ -103,12 +68,37 @@ def test_cli_profile_prints_hot_call_sites(tmp_path, capsys):
     assert (tmp_path / "BENCH_ablation_gamma.json").exists()
 
 
+def test_cli_without_out_writes_into_the_current_directory(
+    tmp_path, monkeypatch
+):
+    from repro.bench.__main__ import main
+
+    monkeypatch.chdir(tmp_path)
+    main(["--experiment", "ablation_gamma", "--seed", "4"])
+    data = json.loads((tmp_path / "BENCH_ablation_gamma.json").read_text())
+    assert data["experiment"] == "ablation_gamma"
+    assert data["seed"] == 4
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_unknown_scale_is_rejected_alike_and_writes_nothing(
+    name, tmp_path, monkeypatch
+):
+    from repro.bench.experiments import run_experiment
+    from repro.errors import ConfigurationError
+
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigurationError, match="unknown scale 'warp'"):
+        run_experiment(name, scale="warp", out_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_jobs_flag_reaches_experiments(tmp_path):
     from repro.bench.__main__ import main
 
     main([
         "--experiment", "ablation_gamma", "--jobs", "2", "--out", str(tmp_path),
-    ])  # experiments without a jobs parameter simply ignore the flag
+    ])  # ablation_gamma runs no points, so it ignores the flag
     assert (tmp_path / "BENCH_ablation_gamma.json").exists()
 
 
@@ -123,7 +113,6 @@ def test_cli_rejects_negative_jobs(capsys):
 
 def test_cli_list_enumerates_experiments_with_descriptions(capsys):
     from repro.bench.__main__ import main
-    from repro.bench.experiments import EXPERIMENTS
 
     main(["--list"])
     out = capsys.readouterr().out

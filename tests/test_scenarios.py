@@ -213,11 +213,15 @@ def test_same_spec_and_seed_replays_identical_trace_and_numbers():
 def test_scenarios_experiment_artifact_is_byte_identical(tmp_path):
     from repro.bench.experiments import scenarios
 
+    from repro.bench.report import write_json
+
     names = ("steady-crash-flattened", "backup-crash-recover")
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    scenarios(scale="smoke", seed=5, out=str(out_a), names=names)
-    scenarios(scale="smoke", seed=5, out=str(out_b), names=names)
+    out_a = write_json(
+        tmp_path / "a.json", scenarios(scale="smoke", seed=5, names=names)
+    )
+    out_b = write_json(
+        tmp_path / "b.json", scenarios(scale="smoke", seed=5, names=names)
+    )
     from repro.bench.compare import comparable_text
 
     assert comparable_text(out_a) == comparable_text(out_b)
